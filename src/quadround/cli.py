@@ -23,13 +23,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_json, sha256_hex
+from ._util import canonical_json, sha256_file, sha256_hex
 from .bounds import BETA_RANK_ONE, rank_m_beta
 from .config import DEFAULTS
 from .instances import random_map, random_witness
@@ -38,7 +39,7 @@ from .quadmap import (InstanceFormatError, QuadraticMap,
                       hull_point_from_combination, hull_point_from_witness,
                       instance_to_json, load_instance, precondition)
 from .rounding import GaussianSampler, round_rank_m, round_rank_one
-from .verify import SUITES
+from .verify import MIN_SAMPLES, SUITES
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -147,7 +148,6 @@ def cmd_round(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     instance_path = Path(args.instance)
-    raw = instance_path.read_bytes()
     qmap, witness_spec = load_instance(str(instance_path))
 
     outcome, payload = run_round(
@@ -157,7 +157,7 @@ def cmd_round(args) -> int:
 
     command = f"round {'--rank-one' if args.rank_m is None else f'--rank-m {args.rank_m}'} " \
               f"--budget {args.budget} --seed {args.seed} --tol {args.tol!r}"
-    doc = {"instance_digest": sha256_hex(raw.decode("utf-8")),
+    doc = {"instance_digest": sha256_file(instance_path),
            "command": command, **payload}
     doc["result_digest"] = result_digest(doc)
 
@@ -259,12 +259,37 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, what):
+    """argparse type: convert the text and require ok(value), so a bad value
+    is a usage error (exit 2) instead of reaching the library."""
+    def parse(text):
+        try:
+            value = convert(text)
+            valid = ok(value)
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf,
+                           "a positive finite number")
+_condition_cap = _checked(float, lambda v: 1.0 <= v < math.inf,
+                          "a finite number >= 1")
+_samples = _checked(lambda s: int(float(s)), lambda v: v >= MIN_SAMPLES,
+                    f"an integer >= {MIN_SAMPLES}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadround",
         description="Entropic relaxation and randomized rounding for images "
                     "of positive definite quadratic maps.")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for draws and Monte Carlo "
                              "(results are identical for any value)")
     parser.add_argument("--quiet", action="store_true",
@@ -272,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--condition-cap", type=float, default=100.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--seed", type=_seed_int, required=True)
+    p.add_argument("--condition-cap", type=_condition_cap, default=100.0)
     p.add_argument("--witness-random", action="store_true",
                    help="attach a normalized Wishart witness")
     p.add_argument("--out", required=True)
@@ -284,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", help="run the full rounding pipeline")
     p.add_argument("instance")
     p.add_argument("--rank-one", action="store_true")
-    p.add_argument("--rank-m", type=int, default=None, metavar="M")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--rank-m", type=_positive_int, default=None, metavar="M")
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="draws (rank-one) or batches (rank-m); defaults "
                         f"{DEFAULTS.rank_one_budget} / {DEFAULTS.rank_m_budget}")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULTS.fw_gap)
+    p.add_argument("--seed", type=_seed_int, required=True)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULTS.fw_gap)
     p.add_argument("--witness-random", action="store_true",
                    help="draw a witness when the instance has none")
     p.add_argument("--out", default=None)
@@ -298,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=sorted(SUITES.keys()))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=lambda s: int(float(s)),
+    p.add_argument("--seed", type=_seed_int, required=True)
+    p.add_argument("--samples", type=_samples,
                    default=10 ** 6, help="Monte Carlo samples per estimate")
     p.add_argument("--json", default=None, help="also write rows as JSON")
     p.set_defaults(fn=cmd_verify)

@@ -178,8 +178,20 @@ def evaluate(qmap: QuadraticMap, x) -> np.ndarray:
 
 
 def evaluate_batch(Qstack: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Row-wise map evaluation: pts is (b, n), result is (b, k)."""
-    return np.einsum("kij,bi,bj->bk", Qstack, pts, pts)
+    """Row-wise map evaluation: pts is (b, n), Qstack is (k, n, n), result
+    is (b, k) with entry [r, i] = pts[r] @ Qstack[i] @ pts[r].
+
+    One BLAS contraction per form: pts @ Q_i is written into a single
+    (b, n) scratch buffer, and its row-wise dot with pts gives column i.
+    Extra memory is O(b n) whatever k is; no (b, k n) intermediate and no
+    copy of Qstack is made.
+    """
+    out = np.empty((pts.shape[0], Qstack.shape[0]))
+    buf = np.empty(pts.shape)
+    for i, Q in enumerate(Qstack):
+        np.matmul(pts, Q, out=buf)
+        np.einsum("bi,bi->b", buf, pts, out=out[:, i])
+    return out
 
 
 def precondition(qmap: QuadraticMap) -> PreconditionedMap:
@@ -378,6 +390,6 @@ def load_instance(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return instance_from_json(doc)

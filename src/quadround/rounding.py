@@ -211,13 +211,14 @@ def round_rank_one(qmap: QuadraticMap, a: SimplexVector,
             tx[need[good]] = cand[good]
             need = need[~good]
         nrm2 = np.einsum("bi,bi->b", tx, tx)
-        y = tx / np.sqrt(nrm2)[:, None]
-        bvals = evaluate_batch(Qstack, y)
+        # One evaluation serves both: q(y) = q(tx) / ||tx||^2 by homogeneity.
+        qtx = evaluate_batch(Qstack, tx)
+        bvals = qtx / nrm2[:, None]
         kl = np.einsum("k,bk->b", av, log_a[None, :] - np.log(bvals))
-        logterm = np.einsum("k,bk->b", av, np.log(evaluate_batch(Qstack, tx) * tau))
+        logterm = np.einsum("k,bk->b", av, np.log(qtx * tau))
         acc = int(np.count_nonzero((nrm2 < 6.0) & (logterm > -3.0)))
         best = int(np.argmin(kl))
-        return float(kl[best]), y[best], acc, drawn
+        return float(kl[best]), tx[best] / np.sqrt(nrm2[best]), acc, drawn
 
     results = map_indexed(run_block, nblocks, threads)
     best_kl, best_y, accepted_count, total = math.inf, None, 0, 0
@@ -291,10 +292,10 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
             need = need[~good]
         nrm2 = np.einsum("bmi,bmi->bm", tx, tx)
         S = nrm2.sum(axis=1)
-        qvals = np.einsum("kij,bmi,bmj->bkm", Qstack, tx, tx)
-        bvals = qvals.sum(axis=2) / S[:, None]
+        qvals = evaluate_batch(Qstack, tx.reshape(nb * m, n)).reshape(nb, m, -1)
+        bvals = qvals.sum(axis=1) / S[:, None]
         kl = np.einsum("k,bk->b", av, log_a[None, :] - np.log(bvals))
-        mean_rescaled = qvals.mean(axis=2) * tau[None, :]
+        mean_rescaled = qvals.mean(axis=1) * tau[None, :]
         logterm = np.einsum("k,bk->b", av, np.log(mean_rescaled))
         cond = (S / m <= 1.0 + 3.0 / sqm) & (logterm >= -12.0 / sqm)
         acc = int(np.count_nonzero(cond))

@@ -32,6 +32,9 @@ from .rounding import GaussianSampler
 # estimate is bit-identical regardless of thread count.
 _MC_BLOCK_ELEMS = 1 << 22
 
+# Fewest samples a Monte Carlo estimate accepts.
+MIN_SAMPLES = 10 ** 3
+
 
 class DiagonalForm:
     """q(x) = sum_i lambda_i x_i^2 with lambda on the simplex, so E q = 1."""
@@ -220,8 +223,8 @@ def _estimate(total) -> McEstimate:
 def mc_abs_log_moment(form: DiagonalForm, samples: int,
                       sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Estimate E |ln q| for the form under the standard Gaussian measure."""
-    if samples < 10 ** 3:
-        raise ValueError("need at least 1e3 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     totals = _mc_accumulate(form, 1, samples, sampler,
                             [lambda q: np.abs(np.log(q))], threads)
     return _estimate(totals[0])
@@ -230,8 +233,8 @@ def mc_abs_log_moment(form: DiagonalForm, samples: int,
 def mc_tail(form: DiagonalForm, m: int, t: float, samples: int,
             sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Empirical frequency of {q_m >= t} (or {q_m <= t} when t <= 1)."""
-    if samples < 10 ** 3:
-        raise ValueError("need at least 1e3 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if t <= 0.0:
         raise ValueError("t must be positive")
     if t > 1.0:
@@ -245,8 +248,8 @@ def mc_tail(form: DiagonalForm, m: int, t: float, samples: int,
 def mc_rank_m_abs_log(form: DiagonalForm, m: int, samples: int,
                       sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Estimate E |ln q_m| for the m-fold average of the form."""
-    if samples < 10 ** 3:
-        raise ValueError("need at least 1e3 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     totals = _mc_accumulate(form, m, samples, sampler,
                             [lambda q: np.abs(np.log(q))], threads)
     return _estimate(totals[0])

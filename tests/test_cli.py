@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -135,6 +136,60 @@ def test_round_determinism_and_digest(tmp_path):
     assert d1 == d2
 
 
+def test_round_digest_independent_of_threads_across_blocks(tmp_path):
+    # Several draw blocks with a ragged last one, so --threads > 1 really
+    # runs on a pool: rank-one 700 = 256 + 256 + 188 draws, rank-m 16 with
+    # 40 = 16 + 16 + 8 batches.
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "64", "--k", "10", "--seed", "13",
+            "--witness-random", "--out", str(inst))
+    for mode in (["--rank-one", "--budget", "700"],
+                 ["--rank-m", "16", "--budget", "40"]):
+        digests = set()
+        for threads in ("1", "2", "3"):
+            res = tmp_path / f"res{threads}.json"
+            assert run_cli("--quiet", "--threads", threads, "round", str(inst),
+                           *mode, "--seed", "6", "--out", str(res)) == 0
+            digests.add(json.loads(res.read_text())["result_digest"])
+        assert len(digests) == 1, mode
+
+
+def test_round_instance_digest_is_file_sha256(tmp_path):
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "17",
+            "--witness-random", "--out", str(inst))
+    res = tmp_path / "res.json"
+    run_cli("--quiet", "round", str(inst), "--rank-one", "--budget", "10",
+            "--seed", "1", "--out", str(res))
+    doc = json.loads(res.read_text())
+    assert doc["instance_digest"] == hashlib.sha256(inst.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("bad", [
+    ["round", "{inst}", "--rank-m", "0", "--seed", "1"],
+    ["round", "{inst}", "--rank-one", "--budget", "0", "--seed", "1"],
+    ["round", "{inst}", "--rank-one", "--tol", "0", "--seed", "1"],
+    ["round", "{inst}", "--rank-one", "--tol", "nan", "--seed", "1"],
+    ["round", "{inst}", "--rank-one", "--seed", "-1"],
+    ["--threads", "0", "round", "{inst}", "--rank-one", "--seed", "1"],
+    ["gen", "--n", "0", "--k", "2", "--seed", "1", "--out", "{inst}"],
+    ["gen", "--n", "2", "--k", "2", "--seed", "-1", "--out", "{inst}"],
+    ["gen", "--n", "2", "--k", "2", "--seed", "1", "--condition-cap", "0.5",
+     "--out", "{inst}"],
+    ["verify", "--suite", "constants", "--seed", "-1"],
+    ["verify", "--suite", "lemma21", "--seed", "1", "--samples", "10"],
+    ["verify", "--suite", "lemma21", "--seed", "1", "--samples", "inf"],
+])
+def test_invalid_arguments_exit2(tmp_path, bad):
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "2", "--k", "2", "--seed", "1",
+            "--witness-random", "--out", str(inst))
+    before = inst.read_bytes()
+    argv = [a.replace("{inst}", str(inst)) for a in bad]
+    assert run_cli("--quiet", *argv) == 2
+    assert inst.read_bytes() == before
+
+
 def test_round_missing_witness_exit2(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "41",
@@ -150,6 +205,8 @@ def test_round_missing_witness_exit2(tmp_path):
 def test_round_parse_and_invalid_instance_exits(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
+    bad.write_bytes(b'{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\xff"}')
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
 
     notpd = tmp_path / "notpd.json"

@@ -8,7 +8,7 @@ from quadround import (GaussianSampler, NotPositiveDefinite, QuadraticMap,
                        hull_point_from_combination, hull_point_from_witness,
                        instance_from_json, instance_to_json, kl_divergence,
                        pinsker_lower_bound, precondition)
-from quadround.quadmap import InstanceFormatError
+from quadround.quadmap import InstanceFormatError, evaluate_batch
 
 from conftest import make_map, make_simplex
 
@@ -64,6 +64,28 @@ def test_evaluate_homogeneity():
         x = sampler.normals((4,))
         t = float(abs(sampler.normals(1)[0])) + 0.1
         assert np.allclose(evaluate(m, t * x), t * t * evaluate(m, x), rtol=1e-12)
+
+
+@pytest.mark.parametrize("b", [1, 257])
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("k", [1, 20])
+def test_evaluate_batch_matches_explicit_forms(b, n, k):
+    Q = make_map(7 + n + k, n, k).Q
+    pts = GaussianSampler(b + n + k).normals((b, n))
+    got = evaluate_batch(Q, pts)
+    assert got.shape == (b, k)
+    want = np.array([[x @ Qi @ x for Qi in Q] for x in pts])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_evaluate_batch_rank_one_shortcut():
+    # q(tx) / ||tx||^2 equals q(tx / ||tx||) to roundoff (homogeneity)
+    Q = make_map(11, 64, 20).Q
+    tx = GaussianSampler(12).normals((257, 64)) * 3.0
+    nrm2 = np.einsum("bi,bi->b", tx, tx)
+    shortcut = evaluate_batch(Q, tx) / nrm2[:, None]
+    direct = evaluate_batch(Q, tx / np.sqrt(nrm2)[:, None])
+    np.testing.assert_allclose(shortcut, direct, rtol=1e-13, atol=0.0)
 
 
 def test_precondition_examples():

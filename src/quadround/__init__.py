@@ -28,7 +28,7 @@ from .rounding import (GaussianSampler, RoundingOutcome, accept_rank_one,
                        sample_gaussian)
 from .verify import (DiagonalForm, McEstimate, SandwichReport,
                      SandwichViolation, check_sandwich, extremality_probe,
-                     mc_abs_log_moment, mc_rank_m_abs_log, mc_tail,
-                     sphere_max_oracle)
+                     mc_abs_log_moment, mc_estimates, mc_rank_m_abs_log,
+                     mc_tail, sphere_max_oracle)
 
 __version__ = "0.1.0"

@@ -9,8 +9,10 @@ Subcommands
     report  aggregate result files into a fixed-column CSV
 
 Exit codes: 0 ok, 2 parse/usage error, 3 invalid instance (forms fail the
-positive definiteness gate), 4 rounding budget exhausted without an accepted
-draw, 5 a verification suite found a violated bound.
+positive definiteness gate) or another numerical failure, 4 rounding budget
+exhausted without an accepted draw, 5 a verification suite found a violated
+bound. The global flags --threads and --quiet go before or after the
+subcommand.
 
 Seeds are mandatory; there is no wall-clock default. Re-running a command
 with identical inputs and seed reproduces the output file byte for byte
@@ -34,7 +36,7 @@ from ._util import canonical_json, sha256_file, sha256_hex
 from .bounds import BETA_RANK_ONE, rank_m_beta
 from .config import DEFAULTS
 from .instances import random_map, random_witness
-from .linalg import NotPositiveDefinite
+from .linalg import LinalgError, NotPositiveDefinite
 from .quadmap import (InstanceFormatError, QuadraticMap,
                       hull_point_from_combination, hull_point_from_witness,
                       instance_to_json, load_instance, precondition)
@@ -285,18 +287,28 @@ _samples = _checked(lambda s: int(float(s)), lambda v: v >= MIN_SAMPLES,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def global_flags(p, threads, quiet):
+        p.add_argument("--threads", type=_positive_int, default=threads,
+                       help="worker threads for draws and Monte Carlo "
+                            "(results are identical for any value)")
+        p.add_argument("--quiet", action="store_true", default=quiet,
+                       help="suppress human-readable output")
+
     parser = argparse.ArgumentParser(
         prog="quadround",
         description="Entropic relaxation and randomized rounding for images "
                     "of positive definite quadratic maps.")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for draws and Monte Carlo "
-                             "(results are identical for any value)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress human-readable output")
+    global_flags(parser, 1, False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a random instance file")
+    def add_parser(name, **kwargs):
+        # Global flags may also follow the subcommand; there they are set
+        # only when given, overriding the value given before it.
+        p = sub.add_parser(name, **kwargs)
+        global_flags(p, argparse.SUPPRESS, argparse.SUPPRESS)
+        return p
+
+    p = add_parser("gen", help="generate a random instance file")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("round", help="run the full rounding pipeline")
+    p = add_parser("round", help="run the full rounding pipeline")
     p.add_argument("instance")
     p.add_argument("--rank-one", action="store_true")
     p.add_argument("--rank-m", type=_positive_int, default=None, metavar="M")
@@ -320,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_round)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=sorted(SUITES.keys()))
     p.add_argument("--seed", type=_seed_int, required=True)
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="also write rows as JSON")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("report", help="aggregate result files into CSV")
+    p = add_parser("report", help="aggregate result files into CSV")
     p.add_argument("results", nargs="+")
     p.add_argument("--out", default=None)
     p.add_argument("--accepted-only", action="store_true",
@@ -355,6 +367,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except NotPositiveDefinite as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
+    except LinalgError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

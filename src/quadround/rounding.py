@@ -54,7 +54,9 @@ class GaussianSampler:
     A fixed seed reproduces the exact sample sequence. ``substream(i)``
     derives an independent stream (a 2^128 jump of the counter per index),
     intended for one level of fan-out: consumers take disjoint indices and
-    do not hand the parent stream out again.
+    do not hand the parent stream out again. ``mean_squares`` draws means of
+    squared normals from the same generator, as exact Gamma variates when
+    more than one normal is averaged.
     """
 
     __slots__ = ("seed", "jumps", "_gen")
@@ -92,6 +94,19 @@ class GaussianSampler:
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
         return z[:count].reshape(shape)
+
+    def mean_squares(self, m: int, shape) -> np.ndarray:
+        """Means of m squared standard normals, elementwise; advances the stream.
+
+        m = 1 squares Box-Muller normals. For m >= 2 each mean is drawn from
+        its exact law Gamma(m/2, scale 2/m) (a chi-square with m degrees of
+        freedom over m), so the cost does not grow with m.
+        """
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        if m == 1:
+            return self.normals(shape) ** 2
+        return self._gen.standard_gamma(0.5 * m, size=shape) * (2.0 / m)
 
 
 def sample_gaussian(sampler: GaussianSampler, n: int) -> np.ndarray:
@@ -286,7 +301,7 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
         while need.size:
             z = sub.normals((need.size, m, n))
             drawn += need.size * m
-            cand = np.einsum("bmi,ij->bmj", z, Tm.T)
+            cand = (z.reshape(-1, n) @ Tm.T).reshape(z.shape)
             good = np.einsum("bmi,bmi->b", cand, cand) > 0.0
             tx[need[good]] = cand[good]
             need = need[~good]

@@ -5,10 +5,15 @@ sphere maximum of sum_i alpha_i ln q_i(x) is computed by brute force on a
 dense angle grid for n = 2 and by multistart projected gradient ascent on
 the unit sphere for n >= 3 (a certified lower bound on the true maximum,
 which is all the relaxation sandwich needs). The probabilistic claims about
-Gaussian values of normalized forms are estimated by direct sampling with
+Gaussian values of normalized forms are estimated by seeded Monte Carlo with
 binomial or sample standard errors; diagonal forms suffice because the
 Gaussian measure is rotation invariant and the claims depend only on the
-spectrum.
+spectrum. Each (form, m) is sampled in one pass that feeds every estimate
+made for it. The m-fold average q_m = (1/m) sum_j q(x_j) of a diagonal form
+is sum_i lambda_i G_i with independent G_i ~ Gamma(m/2, scale 2/m), an
+exact identity; for m >= 2 it is drawn that way, so a sample costs n
+variates rather than m * n normals (the tests keep a direct Gaussian
+m-fold average as an independent cross-check).
 
 Every Monte Carlo assertion leaves a 3 * stderr margin so that a fixed-seed
 suite fails only on a real bound violation, not on sampling noise.
@@ -28,8 +33,8 @@ from .entropic_sdp import solve
 from .quadmap import QuadraticMap, SimplexVector
 from .rounding import GaussianSampler
 
-# Block size (in samples) for chunked Monte Carlo accumulation; fixed so the
-# estimate is bit-identical regardless of thread count.
+# Block size in variates (n per sample) for chunked Monte Carlo accumulation;
+# fixed so the estimate is bit-identical regardless of thread count.
 _MC_BLOCK_ELEMS = 1 << 22
 
 # Fewest samples a Monte Carlo estimate accepts.
@@ -184,75 +189,73 @@ def check_sandwich(qmap: QuadraticMap, alpha: SimplexVector,
     return report
 
 
-def _mc_accumulate(form: DiagonalForm, m: int, samples: int,
-                   sampler: GaussianSampler, reducers, threads: int = 1):
-    """Chunked sampling of q_m; reducers map a value array to running sums.
+def abs_log(q: np.ndarray) -> np.ndarray:
+    """Reducer for E |ln q_m|."""
+    return np.abs(np.log(q))
 
-    Each block draws from its own substream, so the estimate is independent
-    of thread scheduling. Returns per-reducer (sum, sumsq, count).
+
+def tail_indicator(t: float):
+    """Reducer for the frequency of {q_m >= t} (or {q_m <= t} when t <= 1)."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    if t > 1.0:
+        return lambda q: (q >= t).astype(float)
+    return lambda q: (q <= t).astype(float)
+
+
+def mc_estimates(form: DiagonalForm, m: int, samples: int,
+                 sampler: GaussianSampler, reducers,
+                 threads: int = 1) -> list[McEstimate]:
+    """One sampling pass of q_m, reduced by every reducer.
+
+    Each reducer maps an array of q_m values to per-sample values; the
+    result holds one mean with its standard error per reducer, all from the
+    same ``samples`` draws. Blocks of n variates per sample draw from their
+    own substream, so the estimates are independent of thread scheduling.
     """
-    block = max(1, _MC_BLOCK_ELEMS // max(1, m * form.n))
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    block = max(1, _MC_BLOCK_ELEMS // form.n)
     nblocks = (samples + block - 1) // block
 
     def run_block(bi: int):
         rows = block if bi < nblocks - 1 else samples - block * (nblocks - 1)
-        sub = sampler.substream(bi)
-        x = sub.normals((rows, m, form.n))
-        qm = form.values(x).mean(axis=1)
+        qm = sampler.substream(bi).mean_squares(m, (rows, form.n)) @ form.lam
         out = []
         for red in reducers:
             vals = red(qm)
-            out.append((float(vals.sum()), float((vals * vals).sum()), vals.size))
+            out.append((float(vals.sum()), float((vals * vals).sum())))
         return out
 
-    partials = map_indexed(run_block, nblocks, threads)
-    totals = [(0.0, 0.0, 0) for _ in reducers]
-    for part in partials:
-        totals = [(s + ps, q + pq, c + pc)
-                  for (s, q, c), (ps, pq, pc) in zip(totals, part)]
-    return totals
-
-
-def _estimate(total) -> McEstimate:
-    s, sq, count = total
-    mean = s / count
-    var = max(0.0, (sq - count * mean * mean) / max(1, count - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var / count), samples=count)
+    totals = np.zeros((len(reducers), 2))
+    for part in map_indexed(run_block, nblocks, threads):
+        totals += part
+    estimates = []
+    for s, sq in totals.tolist():
+        mean = s / samples
+        var = max(0.0, (sq - samples * mean * mean) / (samples - 1))
+        estimates.append(McEstimate(mean=mean, stderr=math.sqrt(var / samples),
+                                    samples=samples))
+    return estimates
 
 
 def mc_abs_log_moment(form: DiagonalForm, samples: int,
                       sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Estimate E |ln q| for the form under the standard Gaussian measure."""
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    totals = _mc_accumulate(form, 1, samples, sampler,
-                            [lambda q: np.abs(np.log(q))], threads)
-    return _estimate(totals[0])
+    return mc_estimates(form, 1, samples, sampler, [abs_log], threads)[0]
 
 
 def mc_tail(form: DiagonalForm, m: int, t: float, samples: int,
             sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Empirical frequency of {q_m >= t} (or {q_m <= t} when t <= 1)."""
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if t > 1.0:
-        red = lambda q: (q >= t).astype(float)
-    else:
-        red = lambda q: (q <= t).astype(float)
-    totals = _mc_accumulate(form, m, samples, sampler, [red], threads)
-    return _estimate(totals[0])
+    return mc_estimates(form, m, samples, sampler, [tail_indicator(t)],
+                        threads)[0]
 
 
 def mc_rank_m_abs_log(form: DiagonalForm, m: int, samples: int,
                       sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Estimate E |ln q_m| for the m-fold average of the form."""
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    totals = _mc_accumulate(form, m, samples, sampler,
-                            [lambda q: np.abs(np.log(q))], threads)
-    return _estimate(totals[0])
+    return mc_estimates(form, m, samples, sampler, [abs_log], threads)[0]
 
 
 @dataclass
@@ -316,20 +319,20 @@ def suite_lemma21(seed: int, samples: int = 10 ** 6, threads: int = 1,
     Twenty random diagonal forms (dimensions cycling 2..8) plus the pure
     rank-one form: E |ln q| stays below 2.75 within 3 * stderr, the rank-one
     estimate lands within 1.76 +- 0.02, and every empirical tail frequency
-    P(q >= t) stays below phi(t) within 3 * stderr.
+    P(q >= t) stays below phi(t) within 3 * stderr. All estimates of a form
+    come from one pass of ``samples`` draws.
     """
     rows = []
-    stream = 0
     forms = [("rank1", DiagonalForm([1.0]))]
     for i in range(n_forms):
         n = 2 + (i % 7)
-        lam = _simplex_from(_derived_sampler(seed, stream), n)
-        stream += 1
+        lam = _simplex_from(_derived_sampler(seed, i), n)
         forms.append((f"form{i:02d}", DiagonalForm(lam.values)))
-    for name, form in forms:
-        est = mc_abs_log_moment(form, samples, _derived_sampler(seed, stream),
-                                threads)
-        stream += 1
+    reducers = [abs_log] + [tail_indicator(t) for t in tail_ts]
+    for j, (name, form) in enumerate(forms):
+        est, *tails = mc_estimates(form, 1, samples,
+                                   _derived_sampler(seed, n_forms + j),
+                                   reducers, threads)
         rows.append(BoundReport(
             f"abs_log_moment[{name}]", est.mean, 2.75,
             est.mean < 2.75 + 3.0 * est.stderr, "<"))
@@ -340,10 +343,7 @@ def suite_lemma21(seed: int, samples: int = 10 ** 6, threads: int = 1,
             rows.append(BoundReport(
                 "abs_log_moment[rank1] near 1.76", est.mean, 1.76,
                 abs(est.mean - 1.76) <= window, "~="))
-        for t in tail_ts:
-            tail = mc_tail(form, 1, t, samples, _derived_sampler(seed, stream),
-                           threads)
-            stream += 1
+        for t, tail in zip(tail_ts, tails):
             bound = phi(t)
             rows.append(BoundReport(
                 f"tail[{name}, t={t:g}]", tail.mean, bound,
@@ -358,31 +358,30 @@ def suite_lemma51(seed: int, samples: int = 10 ** 6, threads: int = 1,
     For each m and five random diagonal forms: the upper tail at
     t = 1 + 3/sqrt(m) and the lower tail at t = max(0.25, 1 - 3/sqrt(m))
     stay below the Laplace-transform bound within 3 * stderr, and
-    E |ln q_m| stays below 6/sqrt(m) within 3 * stderr. Sample counts are
-    scaled down for large m to keep the total draw volume bounded.
+    E |ln q_m| stays below 6/sqrt(m) within 3 * stderr. All three estimates
+    of a form come from one pass of max(1e3, min(samples, 4e6 / m)) draws
+    of q_m.
     """
     rows = []
     stream = 0
     for m in ms:
         n_samples = max(10 ** 3, min(samples, 4_000_000 // m))
+        t_up = 1.0 + 3.0 / math.sqrt(m)
+        t_lo = max(0.25, 1.0 - 3.0 / math.sqrt(m))
+        reducers = [tail_indicator(t_up), tail_indicator(t_lo), abs_log]
         for j in range(forms_per_m):
             n = 2 + (j % 5)
             lam = _simplex_from(_derived_sampler(seed, stream), n)
-            stream += 1
             form = DiagonalForm(lam.values)
-            t_up = 1.0 + 3.0 / math.sqrt(m)
-            t_lo = max(0.25, 1.0 - 3.0 / math.sqrt(m))
-            for t in (t_up, t_lo):
-                tail = mc_tail(form, m, t, n_samples,
-                               _derived_sampler(seed, stream), threads)
-                stream += 1
+            up, lo, est = mc_estimates(form, m, n_samples,
+                                       _derived_sampler(seed, stream + 1),
+                                       reducers, threads)
+            stream += 2
+            for t, tail in ((t_up, up), (t_lo, lo)):
                 bound = laplace_tail_upper(m, t)
                 rows.append(BoundReport(
                     f"tail[m={m}, form{j}, t={t:.3f}]", tail.mean, bound,
                     tail.mean <= bound + 3.0 * tail.stderr, "<="))
-            est = mc_rank_m_abs_log(form, m, n_samples,
-                                    _derived_sampler(seed, stream), threads)
-            stream += 1
             bound = rank_m_abs_log(m)
             rows.append(BoundReport(
                 f"abs_log_moment[m={m}, form{j}]", est.mean, bound,

@@ -9,6 +9,8 @@ import pytest
 from quadround import kl_divergence, SimplexVector, load_instance
 from quadround.bounds import BoundReport
 from quadround.cli import main, result_digest
+from quadround.linalg import LinalgError
+import quadround.rounding as rounding_mod
 import quadround.verify as verify_mod
 
 
@@ -262,6 +264,51 @@ def test_verify_failure_exit5(monkeypatch):
     monkeypatch.setitem(verify_mod.SUITES, "lemma21", failing_suite)
     assert run_cli("--quiet", "verify", "--suite", "lemma21", "--seed", "1",
                    "--samples", "1e3") == 5
+
+
+@pytest.mark.parametrize("before, after, code", [
+    (["--quiet", "--threads", "2"], [], 0),
+    ([], ["--quiet", "--threads", "2"], 0),
+    (["--threads", "3"], ["--quiet", "--threads", "2"], 0),
+    (["--threads", "0"], ["--quiet"], 2),
+    (["--quiet"], ["--threads", "0"], 2),
+])
+def test_global_flags_either_position(monkeypatch, capsys, before, after, code):
+    seen = []
+
+    def suite(seed, samples=0, threads=1):
+        seen.append(threads)
+        return [BoundReport("ok", 0.0, 1.0, True, "<=")], {}
+    monkeypatch.setitem(verify_mod.SUITES, "lemma21", suite)
+    argv = [*before, "verify", "--suite", "lemma21", "--seed", "1", *after]
+    assert run_cli(*argv) == code
+    if code == 0:
+        assert seen == [2]                  # the later position wins
+        assert capsys.readouterr().out == ""
+
+
+def test_round_quiet_after_subcommand(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--n", "3", "--k", "2", "--seed", "1",
+                   "--witness-random", "--out", str(inst), "--quiet") == 0
+    assert run_cli("round", str(inst), "--rank-one", "--budget", "10",
+                   "--seed", "1", "--out", str(tmp_path / "r.json"),
+                   "--quiet", "--threads", "2") == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "1",
+            "--witness-random", "--out", str(inst))
+
+    def failing_sqrt(*args, **kwargs):
+        raise LinalgError("sqrt residual 1e+00 out of tolerance")
+    monkeypatch.setattr(rounding_mod, "sqrt_psd", failing_sqrt)
+    assert run_cli("--quiet", "round", str(inst), "--rank-one",
+                   "--seed", "1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_report_empty_after_filter_and_malformed(tmp_path, capsys):

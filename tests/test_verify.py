@@ -7,8 +7,10 @@ from quadround import (DiagonalForm, GaussianSampler, QuadraticMap,
                        SandwichViolation, SimplexVector, check_sandwich,
                        extremality_probe, mc_abs_log_moment,
                        mc_rank_m_abs_log, mc_tail, phi, sphere_max_oracle)
-from quadround.verify import (SUITES, suite_constants, suite_lemma21,
-                              suite_lemma51, suite_sandwich)
+import quadround.verify as verify_mod
+from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
+                              suite_lemma21, suite_lemma51, suite_sandwich,
+                              tail_indicator)
 
 from conftest import make_map, make_simplex
 
@@ -129,6 +131,69 @@ def test_mc_threads_bit_identical():
     e1 = mc_abs_log_moment(form, 10 ** 5, GaussianSampler(10), threads=1)
     e2 = mc_abs_log_moment(form, 10 ** 5, GaussianSampler(10), threads=4)
     assert e1.mean == e2.mean and e1.stderr == e2.stderr
+
+
+def test_mc_estimates_one_pass_matches_single_estimators():
+    # the shared pass gives each reducer exactly what its own estimator gives
+    form = DiagonalForm([0.2, 0.5, 0.3])
+    for m in (1, 4):
+        est, tail = mc_estimates(form, m, 5000, GaussianSampler(13),
+                                 [abs_log, tail_indicator(2.0)])
+        assert est == mc_rank_m_abs_log(form, m, 5000, GaussianSampler(13))
+        assert tail == mc_tail(form, m, 2.0, 5000, GaussianSampler(13))
+    assert mc_abs_log_moment(form, 5000, GaussianSampler(13)) == \
+        mc_rank_m_abs_log(form, 1, 5000, GaussianSampler(13))
+    with pytest.raises(ValueError):
+        mc_estimates(form, 1, 999, GaussianSampler(13), [abs_log])
+
+
+def test_mean_squares_m1_is_squared_box_muller():
+    sq = GaussianSampler(14).mean_squares(1, (50, 3))
+    assert np.array_equal(sq, GaussianSampler(14).normals((50, 3)) ** 2)
+    with pytest.raises(ValueError):
+        GaussianSampler(14).mean_squares(0, (5,))
+
+
+def _direct_average(lam, m, rows, sampler):
+    """q_m from m explicit Gaussian draws per sample, no Gamma identity."""
+    x = sampler.normals((rows, m, lam.size))
+    return (x ** 2 @ lam).mean(axis=1)
+
+
+def _mean_se(vals):
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+@pytest.mark.parametrize("m", [4, 16, 100])
+def test_gamma_law_matches_direct_gaussian_average(m):
+    lam = np.array([0.55, 0.3, 0.1, 0.05])
+    rows = 20000
+    t = 1.0 + 3.0 / math.sqrt(m)
+    est, tail, mean = mc_estimates(DiagonalForm(lam), m, rows,
+                                   GaussianSampler(20 + m),
+                                   [abs_log, tail_indicator(t), lambda q: q])
+    qm = _direct_average(lam, m, rows, GaussianSampler(30 + m))
+    for gamma_est, direct in ((est, np.abs(np.log(qm))),
+                              (tail, (qm >= t).astype(float))):
+        d_mean, d_se = _mean_se(direct)
+        assert abs(gamma_est.mean - d_mean) <= 4.0 * math.hypot(
+            gamma_est.stderr, d_se)
+    assert abs(mean.mean - 1.0) <= 4.0 * mean.stderr
+
+
+def test_mc_suites_threads_bit_identical_across_blocks(monkeypatch):
+    # small blocks: every estimate spans several blocks, the last one ragged,
+    # so threads=3 really runs the pool (normals path m = 1, Gamma path m = 4)
+    monkeypatch.setattr(verify_mod, "_MC_BLOCK_ELEMS", 1 << 12)
+
+    def rows(threads):
+        r21, _ = suite_lemma21(seed=5, samples=10 ** 4, threads=threads,
+                               n_forms=4)
+        r51, _ = suite_lemma51(seed=5, samples=10 ** 4, threads=threads,
+                               ms=(1, 4), forms_per_m=2)
+        return [(r.name, r.value, r.satisfied) for r in r21 + r51]
+
+    assert rows(1) == rows(3)
 
 
 def test_extremality_probe():

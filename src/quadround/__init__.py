@@ -23,9 +23,8 @@ from .quadmap import (PreconditionedMap, QuadraticMap, SimplexVector,
                       hull_point_from_witness, instance_from_json,
                       instance_to_json, kl_divergence, load_instance,
                       pinsker_lower_bound, precondition)
-from .rounding import (GaussianSampler, RoundingOutcome, accept_rank_one,
-                       decompose_rank_m, round_rank_m, round_rank_one,
-                       sample_gaussian)
+from .rounding import (GaussianSampler, RoundingOutcome, acceptance,
+                       decompose_rank_m, round_rank_m, round_rank_one)
 from .verify import (DiagonalForm, McEstimate, SandwichReport,
                      SandwichViolation, check_sandwich, extremality_probe,
                      mc_abs_log_moment, mc_estimates, mc_rank_m_abs_log,

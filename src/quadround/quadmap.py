@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .linalg import (SymMatrix, as_sym, cholesky, inverse_spd, sqrt_psd,
-                     sym_eigen)
+from .linalg import (NotPositiveDefinite, SymMatrix, as_sym, cholesky,
+                     inverse_spd, sqrt_psd, sym_eigen)
 
 
 class SimplexVector:
@@ -199,7 +199,10 @@ def precondition(qmap: QuadraticMap) -> PreconditionedMap:
 
     S = sum_i Q_i is positive definite; with T = S^(1/2) the normalized
     forms are T^-1 Q_i T^-1. The identity hat(T x) = original(x) is exact up
-    to rounding, hence both maps have the same image.
+    to rounding, hence both maps have the same image. In floating point a
+    normalized form of a near-singular map can fail the Cholesky gate that
+    every original form passed; that raises NotPositiveDefinite (an
+    indefinite form would make ln q_i NaN in rounding).
     """
     S = SymMatrix(qmap.Q.sum(axis=0))
     T = sqrt_psd(S)
@@ -208,7 +211,12 @@ def precondition(qmap: QuadraticMap) -> PreconditionedMap:
     for i in range(qmap.k):
         M = T_inv.mat @ qmap.Q[i] @ T_inv.mat
         hat_forms.append(SymMatrix(M))
-    hat = QuadraticMap(hat_forms)
+    try:
+        hat = QuadraticMap(hat_forms)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(
+            f"normalized {exc}; the map is too close to singular to "
+            f"normalize by T^-1 Q_i T^-1") from exc
     return PreconditionedMap(qmap, hat, T, T_inv)
 
 

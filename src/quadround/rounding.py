@@ -2,28 +2,30 @@
 
 Given a preconditioned map (forms summing to I), a hull point a with
 spectahedron witness X, the pipeline solves the entropic relaxation with
-weights a, factors the solution A = T^2, and pushes standard Gaussian
-vectors through T:
+weights a, factors the solution A = T^2, and pushes batches of standard
+Gaussian vectors through T. One kernel does this for both modes; rank-one
+is the batch of a single draw:
 
   rank-one:  y = T x / ||T x||          gives b = psi(y), an exact image
              point with sum_i b_i = 1;
   rank-m:    Y = (sum_j ||T x_j||^2)^-1 sum_j (T x_j)(T x_j)'  gives
              b_i = <Q_i, Y>, a convex combination of at most m image points.
 
-Acceptance predicates certify the distance: a draw with ||T x||^2 < 6 and
-sum_i a_i ln q'_i(T x) > -3 (primes denote the rescaled forms with
-<Q'_i, A> = 1) yields D(a||b) <= 3 + ln 6 + gap < 4.8 + gap; a batch with
-mean squared norm at most 1 + 3/sqrt(m) and mean-value log-score at least
--12/sqrt(m) yields D(a||b) <= 12/sqrt(m) + ln(1 + 3/sqrt(m)) + gap
-< 15/sqrt(m) + gap. Per draw the first event has probability at least
-1 - 0.07 - 0.92 = 0.01 and per batch the second at least
-1 - 0.33 - 0.5 = 0.17, so finite budgets fail only with vanishing
-probability; the implementation draws the whole budget and keeps the
-minimum-KL outcome (at least as good as the first accepted draw), flagging
-accepted=False if no draw fired.
+One acceptance predicate certifies the distance, with closed inequalities
+and thresholds set by the batch width (primes denote the rescaled forms
+with <Q'_i, A> = 1): a draw with ||T x||^2 <= 6 and
+sum_i a_i ln q'_i(T x) >= -3 yields D(a||b) <= 3 + ln 6 + gap < 4.8 + gap;
+a batch with mean squared norm at most 1 + 3/sqrt(m) and mean-value
+log-score at least -12/sqrt(m) yields
+D(a||b) <= 12/sqrt(m) + ln(1 + 3/sqrt(m)) + gap < 15/sqrt(m) + gap. Per
+draw the first event has probability at least 1 - 0.07 - 0.92 = 0.01 and
+per batch the second at least 1 - 0.33 - 0.5 = 0.17, so finite budgets fail
+only with vanishing probability; the implementation draws the whole budget
+and keeps the minimum-KL outcome (at least as good as the first accepted
+draw), flagging accepted=False if no draw fired.
 
 All randomness flows through a counter-based generator (Philox) so that a
-fixed seed reproduces outcomes bit for bit; draws are partitioned into
+fixed seed reproduces outcomes bit for bit; batches are partitioned into
 fixed-size blocks, one RNG substream per block, so multithreaded evaluation
 returns the identical result (minimum KL, lowest index wins ties).
 """
@@ -38,7 +40,7 @@ import numpy as np
 from ._util import map_indexed
 from .config import DEFAULTS
 from .entropic_sdp import SdpSolution, solve
-from .linalg import SymMatrix, sqrt_psd, sym_eigen
+from .linalg import sqrt_psd, sym_eigen
 from .quadmap import (QuadraticMap, SimplexVector, SpectahedronPoint,
                       evaluate, evaluate_batch, hull_point_from_witness,
                       kl_divergence)
@@ -109,13 +111,6 @@ class GaussianSampler:
         return self._gen.standard_gamma(0.5 * m, size=shape) * (2.0 / m)
 
 
-def sample_gaussian(sampler: GaussianSampler, n: int) -> np.ndarray:
-    """Draw one standard Gaussian vector in R^n; advances the sampler."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return sampler.normals((n,))
-
-
 @dataclass
 class RoundingOutcome:
     """Rounded point(s) with the full self-contained certificate.
@@ -144,22 +139,22 @@ class RoundingOutcome:
     draws: int = 0
 
 
-def accept_rank_one(x, T: SymMatrix, qmap: QuadraticMap,
-                    alpha: SimplexVector) -> bool:
-    """Acceptance predicate for a single draw against the rescaled map.
+def acceptance(sq_norm_mean, log_score, m: int | None = None):
+    """The paper's acceptance event, elementwise over draws or batches.
 
-    Requires the forms rescaled so <Q_i, T^2> = 1. True iff ||T x||^2 < 6
-    and sum_i alpha_i ln q_i(T x) > -3. A zero push T x = 0 (probability
-    zero) is rejected.
+    sq_norm_mean is the mean of ||T x_j||^2 over a batch and log_score is
+    sum_i a_i ln of the batch-mean value of the rescaled forms (those with
+    <Q'_i, T^2> = 1). For rank-one (m None, one draw per batch) the event is
+    ||T x||^2 <= 6 and log_score >= -3; for rank-m it is a mean of at most
+    1 + 3/sqrt(m) and log_score >= -12/sqrt(m). A zero push has log_score
+    -inf and is rejected.
     """
-    tx = T.mat @ np.asarray(x, dtype=float).reshape(-1)
-    nrm2 = float(tx @ tx)
-    if nrm2 == 0.0:
-        return False
-    if nrm2 >= 6.0:
-        return False
-    vals = evaluate(qmap, tx)
-    return float(np.sum(alpha.values * np.log(vals))) > -3.0
+    if m is None:
+        cap, floor = 6.0, -3.0
+    else:
+        sqm = math.sqrt(m)
+        cap, floor = 1.0 + 3.0 / sqm, -12.0 / sqm
+    return (sq_norm_mean <= cap) & (log_score >= floor)
 
 
 def _check_preconditioned(qmap: QuadraticMap):
@@ -178,13 +173,74 @@ def _check_hull_consistent(qmap: QuadraticMap, a: SimplexVector,
             f"hull point disagrees with its witness by {err:.3e}")
 
 
-def _prepare(qmap, a, witness, tol, max_iters):
-    """Shared pipeline head: solve the relaxation and factor A = T^2."""
+def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
+           sampler: GaussianSampler, m: int | None, budget: int, tol: float,
+           max_iters: int, threads: int, finish) -> RoundingOutcome:
+    """The rounding kernel: ``budget`` batches of m draws (one for m None).
+
+    Solves the relaxation, factors A = T^2 and pushes the batches through T
+    in fixed blocks, one substream per block, redrawing any batch whose
+    pushes are all zero. Each block is evaluated once; b of a batch is
+    sum_j q(T x_j) / sum_j ||T x_j||^2 by homogeneity. The minimum-KL batch
+    (lowest index wins ties) goes to ``finish``, which maps its pushes, an
+    (m, n) array, to (points, b, witness_Y) of the outcome.
+    """
+    if m is not None and m < 1:
+        raise ValueError("m must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     _check_preconditioned(qmap)
     _check_hull_consistent(qmap, a, witness)
     sol = solve(qmap, a, tol=tol, max_iters=max_iters)
-    T = sqrt_psd(sol.X_star.X)
-    return sol, T
+    Tt = sqrt_psd(sol.X_star.X).mat.T
+    Qstack, av, tau, n = qmap.Q, a.values, sol.rescale, qmap.n
+    log_a = np.log(av)
+    width = 1 if m is None else m
+    per_block = max(1, _BLOCK // width)
+    nblocks = (budget + per_block - 1) // per_block
+
+    def run_block(bi: int):
+        nb = (per_block if bi < nblocks - 1
+              else budget - per_block * (nblocks - 1))
+        sub = sampler.substream(bi)
+        drawn = 0
+        tx = np.empty((nb, width, n))
+        need = np.arange(nb)
+        while need.size:
+            z = sub.normals((need.size, width, n))
+            drawn += need.size * width
+            cand = (z.reshape(-1, n) @ Tt).reshape(z.shape)
+            good = np.einsum("bmi,bmi->b", cand, cand) > 0.0
+            tx[need[good]] = cand[good]
+            need = need[~good]
+        S = np.einsum("bmi,bmi->bm", tx, tx).sum(axis=1)
+        qvals = evaluate_batch(Qstack, tx.reshape(-1, n)).reshape(nb, width, -1)
+        bvals = qvals.sum(axis=1) / S[:, None]
+        kl = np.einsum("k,bk->b", av, log_a[None, :] - np.log(bvals))
+        log_score = np.einsum("k,bk->b", av, np.log(qvals.mean(axis=1) * tau))
+        acc = int(np.count_nonzero(acceptance(S / width, log_score, m)))
+        best = int(np.argmin(kl))
+        return float(kl[best]), tx[best], acc, drawn
+
+    best_kl, best_tx, accepted_count, total = math.inf, None, 0, 0
+    for kl_b, tx_b, acc_b, drawn_b in map_indexed(run_block, nblocks, threads):
+        total += drawn_b
+        accepted_count += acc_b
+        if kl_b < best_kl:
+            best_kl, best_tx = kl_b, tx_b
+    points, b, witness_Y = finish(best_tx)
+    return RoundingOutcome(
+        points=points,
+        b=b,
+        kl=kl_divergence(a, b),
+        samples_drawn=total,
+        accepted=accepted_count > 0,
+        witness_Y=witness_Y,
+        sdp=sol,
+        m=m,
+        accepted_count=accepted_count,
+        draws=budget,
+    )
 
 
 def round_rank_one(qmap: QuadraticMap, a: SimplexVector,
@@ -200,62 +256,12 @@ def round_rank_one(qmap: QuadraticMap, a: SimplexVector,
     result satisfies D(a||b) <= 3 + ln 6 + fw_gap < 4.8 + fw_gap; otherwise
     the best-effort outcome is returned with accepted=False.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    sol, T = _prepare(qmap, a, X_witness, tol, max_iters)
-    Qstack = qmap.Q
-    av = a.values
-    log_a = np.log(av)
-    tau = sol.rescale
-    Tm = T.mat
-    n = qmap.n
+    def finish(tx):
+        y = tx / np.sqrt(np.einsum("mi,mi->", tx, tx))
+        return y, SimplexVector(evaluate(qmap, y[0])), None
 
-    nblocks = (budget + _BLOCK - 1) // _BLOCK
-
-    def run_block(bi: int):
-        rows = _BLOCK if bi < nblocks - 1 else budget - _BLOCK * (nblocks - 1)
-        sub = sampler.substream(bi)
-        drawn = 0
-        tx = np.empty((rows, n))
-        need = np.arange(rows)
-        while need.size:
-            z = sub.normals((need.size, n))
-            drawn += need.size
-            cand = z @ Tm.T
-            good = np.einsum("bi,bi->b", cand, cand) > 0.0
-            tx[need[good]] = cand[good]
-            need = need[~good]
-        nrm2 = np.einsum("bi,bi->b", tx, tx)
-        # One evaluation serves both: q(y) = q(tx) / ||tx||^2 by homogeneity.
-        qtx = evaluate_batch(Qstack, tx)
-        bvals = qtx / nrm2[:, None]
-        kl = np.einsum("k,bk->b", av, log_a[None, :] - np.log(bvals))
-        logterm = np.einsum("k,bk->b", av, np.log(qtx * tau))
-        acc = int(np.count_nonzero((nrm2 < 6.0) & (logterm > -3.0)))
-        best = int(np.argmin(kl))
-        return float(kl[best]), tx[best] / np.sqrt(nrm2[best]), acc, drawn
-
-    results = map_indexed(run_block, nblocks, threads)
-    best_kl, best_y, accepted_count, total = math.inf, None, 0, 0
-    for kl_b, y_b, acc_b, drawn_b in results:
-        total += drawn_b
-        accepted_count += acc_b
-        if kl_b < best_kl:
-            best_kl, best_y = kl_b, y_b
-
-    b = SimplexVector(evaluate(qmap, best_y))
-    return RoundingOutcome(
-        points=best_y.reshape(1, n),
-        b=b,
-        kl=kl_divergence(a, b),
-        samples_drawn=total,
-        accepted=accepted_count > 0,
-        witness_Y=None,
-        sdp=sol,
-        m=None,
-        accepted_count=accepted_count,
-        draws=budget,
-    )
+    return _round(qmap, a, X_witness, sampler, None, budget, tol, max_iters,
+                  threads, finish)
 
 
 def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
@@ -275,73 +281,14 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
     < 15/sqrt(m) + fw_gap. The best batch by KL is returned, decomposed into
     m equally weighted certificate points.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    sol, T = _prepare(qmap, a, X_witness, tol, max_iters)
-    Qstack = qmap.Q
-    av = a.values
-    log_a = np.log(av)
-    tau = sol.rescale
-    Tm = T.mat
-    n = qmap.n
-    sqm = math.sqrt(m)
+    def finish(tx):
+        S = float(np.einsum("mi,mi->", tx, tx))
+        witness_Y = SpectahedronPoint(np.einsum("mi,mj->ij", tx, tx) / S)
+        b = SimplexVector(np.einsum("kij,ij->k", qmap.Q, witness_Y.mat))
+        return decompose_rank_m(witness_Y, m)[0], b, witness_Y
 
-    batches_per_block = max(1, _BLOCK // m)
-    nblocks = (budget + batches_per_block - 1) // batches_per_block
-
-    def run_block(bi: int):
-        nb = (batches_per_block if bi < nblocks - 1
-              else budget - batches_per_block * (nblocks - 1))
-        sub = sampler.substream(bi)
-        drawn = 0
-        tx = np.empty((nb, m, n))
-        need = np.arange(nb)
-        while need.size:
-            z = sub.normals((need.size, m, n))
-            drawn += need.size * m
-            cand = (z.reshape(-1, n) @ Tm.T).reshape(z.shape)
-            good = np.einsum("bmi,bmi->b", cand, cand) > 0.0
-            tx[need[good]] = cand[good]
-            need = need[~good]
-        nrm2 = np.einsum("bmi,bmi->bm", tx, tx)
-        S = nrm2.sum(axis=1)
-        qvals = evaluate_batch(Qstack, tx.reshape(nb * m, n)).reshape(nb, m, -1)
-        bvals = qvals.sum(axis=1) / S[:, None]
-        kl = np.einsum("k,bk->b", av, log_a[None, :] - np.log(bvals))
-        mean_rescaled = qvals.mean(axis=1) * tau[None, :]
-        logterm = np.einsum("k,bk->b", av, np.log(mean_rescaled))
-        cond = (S / m <= 1.0 + 3.0 / sqm) & (logterm >= -12.0 / sqm)
-        acc = int(np.count_nonzero(cond))
-        best = int(np.argmin(kl))
-        return float(kl[best]), tx[best], acc, drawn
-
-    results = map_indexed(run_block, nblocks, threads)
-    best_kl, best_tx, accepted_count, total = math.inf, None, 0, 0
-    for kl_b, tx_b, acc_b, drawn_b in results:
-        total += drawn_b
-        accepted_count += acc_b
-        if kl_b < best_kl:
-            best_kl, best_tx = kl_b, tx_b
-
-    S = float(np.einsum("mi,mi->", best_tx, best_tx))
-    Y = np.einsum("mi,mj->ij", best_tx, best_tx) / S
-    witness_Y = SpectahedronPoint(Y)
-    b = SimplexVector(np.einsum("kij,ij->k", Qstack, witness_Y.mat))
-    points, _weights = decompose_rank_m(witness_Y, m)
-    return RoundingOutcome(
-        points=points,
-        b=b,
-        kl=kl_divergence(a, b),
-        samples_drawn=total,
-        accepted=accepted_count > 0,
-        witness_Y=witness_Y,
-        sdp=sol,
-        m=m,
-        accepted_count=accepted_count,
-        draws=budget,
-    )
+    return _round(qmap, a, X_witness, sampler, m, budget, tol, max_iters,
+                  threads, finish)
 
 
 def decompose_rank_m(Y: SpectahedronPoint, m: int,

@@ -53,10 +53,6 @@ class DiagonalForm:
     def n(self) -> int:
         return self.lam.size
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """q over rows of x (any leading shape, trailing axis of size n)."""
-        return np.asarray(x) ** 2 @ self.lam
-
 
 @dataclass
 class McEstimate:

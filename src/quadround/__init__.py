@@ -14,10 +14,9 @@ and seeded Monte Carlo.
 from .bounds import (BoundReport, constants, gauss_log_moments, laplace_tail_upper,
                      log_gamma, phi, phi_expression, rank_m_abs_log, rank_m_beta)
 from .config import DEFAULTS, Tolerances
-from .entropic_sdp import SdpSolution, gradient, objective, rescale_to_unit, solve
-from .linalg import (LinalgError, NotPositiveDefinite, SymMatrix, as_sym,
-                     cholesky, frobenius_inner, inverse_spd, outer, sqrt_psd,
-                     sym_eigen)
+from .entropic_sdp import SdpSolution, gradient, objective, solve
+from .linalg import (LinalgError, NotPositiveDefinite, cholesky, inverse_spd,
+                     sqrt_psd, sym_eigen)
 from .quadmap import (PreconditionedMap, QuadraticMap, SimplexVector,
                       SpectahedronPoint, evaluate, hull_point_from_combination,
                       hull_point_from_witness, instance_from_json,

@@ -37,21 +37,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .linalg import SymMatrix, _eigh_checked
-from .quadmap import QuadraticMap, SimplexVector, SpectahedronPoint
+from .linalg import _eigh_checked
+from .quadmap import QuadraticMap, SimplexVector
 
 
 @dataclass
 class SdpSolution:
     """Solver output: the point, its value, and the optimality certificate.
 
-    rescale holds tau_i = 1 / <Q_i, X_star>, the positive factors that make
-    the rescaled forms satisfy <tau_i Q_i, X_star> = 1. converged is False
-    when the iteration cap was reached with the gap still above tolerance.
-    objective_trace records the objective at every outer iteration.
+    X_star is the solver's array Y Y' with ||Y||_F = 1, PSD with unit trace
+    by construction. rescale holds tau_i = 1 / <Q_i, X_star>, the positive
+    factors that make the rescaled forms satisfy <tau_i Q_i, X_star> = 1;
+    rounding uses them directly. converged is False when the iteration cap
+    was reached with the gap still above tolerance. objective_trace records
+    the objective at every outer iteration.
     """
 
-    X_star: SpectahedronPoint
+    X_star: np.ndarray
     value: float
     fw_gap: float
     iterations: int
@@ -69,21 +71,20 @@ def _inner_values(Qstack: np.ndarray, X: np.ndarray) -> np.ndarray:
     return vals
 
 
-def objective(qmap: QuadraticMap, alpha: SimplexVector, X: SpectahedronPoint) -> float:
+def objective(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> float:
     """sum_i alpha_i ln <Q_i, X>; finite by positive definiteness."""
     if alpha.k != qmap.k:
         raise ValueError("weight vector length must match the number of forms")
-    vals = _inner_values(qmap.Q, X.mat)
+    vals = _inner_values(qmap.Q, X)
     return float(np.sum(alpha.values * np.log(vals)))
 
 
-def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: SpectahedronPoint) -> SymMatrix:
+def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> np.ndarray:
     """Exact differential sum_i (alpha_i / <Q_i, X>) Q_i; positive definite."""
     if alpha.k != qmap.k:
         raise ValueError("weight vector length must match the number of forms")
-    vals = _inner_values(qmap.Q, X.mat)
-    G = np.einsum("k,kij->ij", alpha.values / vals, qmap.Q)
-    return SymMatrix(G)
+    vals = _inner_values(qmap.Q, X)
+    return np.einsum("k,kij->ij", alpha.values / vals, qmap.Q)
 
 
 def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray,
@@ -112,7 +113,7 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def _sphere_polish(Qstack: np.ndarray, alpha: np.ndarray, X: np.ndarray,
+def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray,
                    max_steps: int = 200) -> np.ndarray:
     """Monotone ascent of f(Y Y') over ||Y||_F = 1 starting at Y = X^(1/2).
 
@@ -127,15 +128,11 @@ def _sphere_polish(Qstack: np.ndarray, alpha: np.ndarray, X: np.ndarray,
         return X
     Y = Y / nrm
 
-    def f_of(Ym: np.ndarray):
-        Xm = Ym @ Ym.T
-        vals = np.einsum("kij,ij->k", Qstack, Xm)
-        return float(np.sum(alpha * np.log(vals))), vals, Xm
-
-    val, vals, Xcur = f_of(Y)
+    Xcur = Y @ Y.T
+    val = objective(qmap, alpha, Xcur)
     step = 1.0
     for _ in range(max_steps):
-        G = np.einsum("k,kij->ij", alpha / vals, Qstack)
+        G = gradient(qmap, alpha, Xcur)
         R = 2.0 * (G @ Y - Y)
         rn = float(np.linalg.norm(R))
         if rn < 1e-14:
@@ -144,9 +141,10 @@ def _sphere_polish(Qstack: np.ndarray, alpha: np.ndarray, X: np.ndarray,
         for _ in range(40):
             Yt = Y + step * R
             Yt = Yt / np.linalg.norm(Yt)
-            vt, valst, Xt = f_of(Yt)
+            Xt = Yt @ Yt.T
+            vt = objective(qmap, alpha, Xt)
             if vt > val + 1e-4 * step * rn * rn:
-                Y, val, vals, Xcur = Yt, vt, valst, Xt
+                Y, val, Xcur = Yt, vt, Xt
                 improved = True
                 step *= 1.3
                 break
@@ -181,14 +179,13 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
     converged = False
     prev_val = -np.inf
     for it in range(max_iters + 1):
-        c = _inner_values(Qstack, X)
-        val = float(np.sum(al * np.log(c)))
+        val = objective(qmap, alpha, X)
         if val < prev_val - 1e-12:
             raise AssertionError(
                 f"objective decreased from {prev_val!r} to {val!r} at iteration {it}")
         prev_val = val
         trace_log.append(val)
-        G = np.einsum("k,kij->ij", al / c, Qstack)
+        G = gradient(qmap, alpha, X)
         wG, VG = _eigh_checked(G, DEFAULTS.eigen_residual)
         v = VG[:, -1]
         gap = float(wG[-1] - np.sum(G * X))
@@ -198,32 +195,20 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
             break
         if it == max_iters:
             break
+        c = _inner_values(Qstack, X)
         d = np.einsum("kij,i,j->k", Qstack, v, v)
         gamma = _line_search(al, c, d, line_search_tol)
         X = (1.0 - gamma) * X + gamma * np.outer(v, v)
         X = 0.5 * (X + X.T)
-        X = _sphere_polish(Qstack, al, X)
+        X = _sphere_polish(qmap, alpha, X)
 
-    point = SpectahedronPoint(X)
-    vals = _inner_values(Qstack, point.mat)
-    value = float(np.sum(al * np.log(vals)))
     return SdpSolution(
-        X_star=point,
-        value=value,
+        X_star=X,
+        value=objective(qmap, alpha, X),
         fw_gap=gap,
         iterations=iterations,
-        rescale=1.0 / vals,
+        rescale=1.0 / _inner_values(Qstack, X),
         converged=converged,
         objective_trace=trace_log,
     )
 
-
-def rescale_to_unit(qmap: QuadraticMap, sol: SdpSolution) -> QuadraticMap:
-    """Rescale the forms Q_i -> tau_i Q_i so that <Q_i', X_star> = 1 for all i.
-
-    At the solution the rescaled objective is 0. tau comes from the solution
-    record (tau_i = 1 / <Q_i, X_star>).
-    """
-    if sol.rescale.size != qmap.k:
-        raise ValueError("solution does not match this map")
-    return QuadraticMap(list(qmap.Q * sol.rescale[:, None, None]))

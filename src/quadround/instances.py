@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SymMatrix, sym_eigen
+from .linalg import sym_eigen
 from .quadmap import QuadraticMap
 from .rounding import GaussianSampler
 
 
 def random_spd(sampler: GaussianSampler, n: int,
-               condition_cap: float = 100.0) -> SymMatrix:
+               condition_cap: float = 100.0) -> np.ndarray:
     """G G' + eps I with the spectrum shifted so cond <= condition_cap.
 
     condition_cap = 1 forces all eigenvalues equal (a multiple of the
     identity); otherwise a uniform spectral shift caps the ratio of extreme
-    eigenvalues without changing eigenvectors.
+    eigenvalues without changing eigenvectors. The shifted matrix
+    (V diag(w) V') is symmetric only up to roundoff; QuadraticMap
+    symmetrizes it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -28,14 +30,14 @@ def random_spd(sampler: GaussianSampler, n: int,
         raise ValueError("condition_cap must be at least 1")
     G = sampler.normals((n, n))
     Q = G @ G.T + 1e-3 * np.eye(n)
-    w, V = sym_eigen(SymMatrix(Q))
+    w, V = sym_eigen(Q)
     if condition_cap == 1.0:
-        return SymMatrix(np.eye(n) * float(w.mean()))
+        return np.eye(n) * float(w.mean())
     cond = w[-1] / w[0]
     if cond > condition_cap:
         shift = (w[-1] - condition_cap * w[0]) / (condition_cap - 1.0)
         Q = (V * (w + shift)) @ V.T
-    return SymMatrix(Q)
+    return Q
 
 
 def random_map(sampler: GaussianSampler, n: int, k: int,

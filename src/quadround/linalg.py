@@ -1,10 +1,15 @@
 """Dense symmetric linear algebra used by every other module.
 
-Matrices are stored fully (not packed) as float64 arrays; dimensions stay
-small (at most a few hundred) in all intended uses, so simplicity wins over
-memory. Factorizations are delegated to LAPACK through numpy, but every
-operation checks its own contract (residuals, orthonormality, positivity)
-against explicit tolerances and fails loudly instead of returning garbage.
+Inputs and outputs are plain float64 arrays stored fully (not packed);
+dimensions stay small (at most a few hundred) in all intended uses, so
+simplicity wins over memory. Inputs are symmetric arrays: user matrices
+are validated and symmetrized once, at the boundary (the QuadraticMap and
+SpectahedronPoint constructors and instance loading), and nothing here
+re-symmetrizes them. Factorizations are delegated to LAPACK through numpy,
+but every operation checks its own contract (residuals, orthonormality,
+positivity) against explicit tolerances and fails loudly instead of
+returning garbage, so a non-symmetric input is rejected rather than
+silently factored.
 
 Positive definiteness is tested by Cholesky: a failed factorization is the
 validation gate for user-supplied quadratic forms.
@@ -27,52 +32,6 @@ class NotPositiveDefinite(LinalgError):
 
 class EigenConvergenceError(LinalgError):
     """The symmetric eigensolver failed to meet its residual contract."""
-
-
-class SymMatrix:
-    """Real symmetric n x n matrix, symmetrized via (M + M') / 2 on construction.
-
-    All entries must be finite; n >= 1. Instances are treated as immutable:
-    no operation in this package writes to ``mat`` after construction.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        a = np.array(mat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        self.mat = 0.5 * (a + a.T)
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n})"
-
-
-def as_sym(x) -> SymMatrix:
-    """Coerce an array-like (or pass through a SymMatrix) to SymMatrix."""
-    return x if isinstance(x, SymMatrix) else SymMatrix(x)
-
-
-def frobenius_inner(a, b) -> float:
-    """Entrywise inner product sum_ij A_ij B_ij = trace(AB)."""
-    A, B = as_sym(a), as_sym(b)
-    if A.n != B.n:
-        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
-    return float(np.sum(A.mat * B.mat))
-
-
-def outer(x) -> SymMatrix:
-    """Rank <= 1 PSD matrix x (x) x with entries x_i x_j; trace equals ||x||^2."""
-    v = np.asarray(x, dtype=float).reshape(-1)
-    return SymMatrix(np.outer(v, v))
 
 
 def _eigh_checked(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +63,7 @@ def sym_eigen(a, tol: float = DEFAULTS.eigen_residual):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    A = as_sym(a)
-    return _eigh_checked(A.mat, tol)
+    return _eigh_checked(a, tol)
 
 
 def cholesky(a, rel_tol: float = DEFAULTS.cholesky_relative) -> np.ndarray:
@@ -115,20 +73,19 @@ def cholesky(a, rel_tol: float = DEFAULTS.cholesky_relative) -> np.ndarray:
     quadratic-form input. The factorization residual is checked against
     rel_tol * ||A||_F.
     """
-    A = as_sym(a)
     try:
-        L = np.linalg.cholesky(A.mat)
+        L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    scale = max(float(np.linalg.norm(A.mat)), 1e-300)
-    resid = float(np.linalg.norm(L @ L.T - A.mat))
+    scale = max(float(np.linalg.norm(a)), 1e-300)
+    resid = float(np.linalg.norm(L @ L.T - a))
     if resid > rel_tol * scale:
         raise LinalgError(f"cholesky residual {resid:.3e} out of tolerance")
     return L
 
 
 def sqrt_psd(a, clamp: float = DEFAULTS.psd_clamp,
-             resid_tol: float = DEFAULTS.sqrt_residual) -> SymMatrix:
+             resid_tol: float = DEFAULTS.sqrt_residual) -> np.ndarray:
     """Symmetric PSD square root T with T^2 = A, via eigendecomposition.
 
     Eigenvalues in [-clamp * ||A||_F, 0] are set to zero (rounding routinely
@@ -136,35 +93,33 @@ def sqrt_psd(a, clamp: float = DEFAULTS.psd_clamp,
     raises NotPositiveDefinite. The residual ||T^2 - A||_F is verified
     against resid_tol * max(1, ||A||_F).
     """
-    A = as_sym(a)
-    w, v = _eigh_checked(A.mat, DEFAULTS.eigen_residual)
-    scale = max(float(np.linalg.norm(A.mat)), 1e-300)
+    w, v = _eigh_checked(a, DEFAULTS.eigen_residual)
+    scale = max(float(np.linalg.norm(a)), 1e-300)
     if w[0] < -clamp * scale:
         raise NotPositiveDefinite(
             f"eigenvalue {w[0]:.3e} below -{clamp:.1e} * ||A||_F")
     w = np.clip(w, 0.0, None)
     T = (v * np.sqrt(w)) @ v.T
     T = 0.5 * (T + T.T)
-    resid = float(np.linalg.norm(T @ T - A.mat))
+    resid = float(np.linalg.norm(T @ T - a))
     if resid > resid_tol * max(1.0, scale):
         raise LinalgError(f"sqrt residual {resid:.3e} out of tolerance")
-    return SymMatrix(T)
+    return T
 
 
-def inverse_spd(a, resid_tol: float = DEFAULTS.inverse_residual) -> SymMatrix:
+def inverse_spd(a, resid_tol: float = DEFAULTS.inverse_residual) -> np.ndarray:
     """Inverse of a positive definite matrix via Cholesky solves.
 
     Verifies ||A A^-1 - I||_F <= resid_tol; raises NotPositiveDefinite when
     the factorization fails.
     """
-    A = as_sym(a)
-    L = cholesky(A)
-    n = A.n
+    L = cholesky(a)
+    n = a.shape[0]
     # Solve L L' X = I by forward then back substitution.
     y = np.linalg.solve(L, np.eye(n))
     inv = np.linalg.solve(L.T, y)
     inv = 0.5 * (inv + inv.T)
-    resid = float(np.linalg.norm(A.mat @ inv - np.eye(n)))
+    resid = float(np.linalg.norm(a @ inv - np.eye(n)))
     if resid > resid_tol:
         raise LinalgError(f"inverse residual {resid:.3e} out of tolerance")
-    return SymMatrix(inv)
+    return inv

@@ -24,8 +24,26 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .linalg import (NotPositiveDefinite, SymMatrix, as_sym, cholesky,
-                     inverse_spd, sqrt_psd, sym_eigen)
+from .linalg import (NotPositiveDefinite, cholesky, inverse_spd, sqrt_psd,
+                     sym_eigen)
+
+
+def _sym_array(mat) -> np.ndarray:
+    """Validated symmetric float array (A + A') / 2 of a square matrix.
+
+    The one input check for user matrices, called at the boundaries only
+    (QuadraticMap, SpectahedronPoint, a witness X on instance load): the
+    matrix must be square with n >= 1 and finite entries. Everything inside
+    the package passes the resulting arrays on as they are.
+    """
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return 0.5 * (a + a.T)
 
 
 class SimplexVector:
@@ -61,29 +79,29 @@ class SimplexVector:
 
 
 class SpectahedronPoint:
-    """PSD matrix with unit trace (a point of the spectahedron)."""
+    """PSD matrix with unit trace (a point of the spectahedron).
 
-    __slots__ = ("X",)
+    Construction symmetrizes the input and checks both conditions against
+    DEFAULTS.psd_check and DEFAULTS.trace_check; ``mat`` holds the array.
+    """
 
-    def __init__(self, mat, psd_tol: float = DEFAULTS.psd_check,
-                 trace_tol: float = DEFAULTS.trace_check):
-        X = as_sym(mat)
+    __slots__ = ("mat",)
+
+    def __init__(self, mat):
+        X = _sym_array(mat)
         w, _ = sym_eigen(X)
-        scale = max(float(np.linalg.norm(X.mat)), 1e-300)
-        if w[0] < -psd_tol * scale:
+        scale = max(float(np.linalg.norm(X)), 1e-300)
+        if w[0] < -DEFAULTS.psd_check * scale:
             raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-        tr = float(np.trace(X.mat))
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace is {tr!r}, more than {trace_tol} from 1")
-        self.X = X
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.X.mat
+        tr = float(np.trace(X))
+        if abs(tr - 1.0) > DEFAULTS.trace_check:
+            raise ValueError(
+                f"trace is {tr!r}, more than {DEFAULTS.trace_check} from 1")
+        self.mat = X
 
     @property
     def n(self) -> int:
-        return self.X.n
+        return self.mat.shape[0]
 
     def __repr__(self):
         return f"SpectahedronPoint(n={self.n})"
@@ -92,26 +110,26 @@ class SpectahedronPoint:
 class QuadraticMap:
     """k positive definite quadratic forms on R^n.
 
-    Each form is validated positive definite by Cholesky on construction.
-    The stacked array of form matrices is exposed as ``Q`` (shape k x n x n)
-    for vectorized evaluation.
+    Each form is symmetrized and validated positive definite by Cholesky on
+    construction. The stacked array of form matrices is exposed as ``Q``
+    (shape k x n x n) for vectorized evaluation.
     """
 
     __slots__ = ("Q",)
 
     def __init__(self, forms):
-        mats = [as_sym(f) for f in forms]
+        mats = [_sym_array(f) for f in forms]
         if len(mats) < 1:
             raise ValueError("a quadratic map needs at least one form")
-        n = mats[0].n
+        n = mats[0].shape[0]
         for i, m in enumerate(mats):
-            if m.n != n:
-                raise ValueError(f"form {i} has dimension {m.n}, expected {n}")
+            if m.shape[0] != n:
+                raise ValueError(f"form {i} has dimension {m.shape[0]}, expected {n}")
             try:
                 cholesky(m)
             except Exception as exc:
                 raise type(exc)(f"form {i} is not positive definite: {exc}") from exc
-        self.Q = np.stack([m.mat for m in mats])
+        self.Q = np.stack(mats)
 
     @property
     def n(self) -> int:
@@ -121,9 +139,6 @@ class QuadraticMap:
     def k(self) -> int:
         return self.Q.shape[0]
 
-    def form(self, i: int) -> SymMatrix:
-        return SymMatrix(self.Q[i])
-
     def __repr__(self):
         return f"QuadraticMap(n={self.n}, k={self.k})"
 
@@ -131,42 +146,40 @@ class QuadraticMap:
 class PreconditionedMap:
     """A map together with its normalized version and the change of variables.
 
-    ``hat`` holds the forms T^-1 Q_i T^-1 where T is the symmetric square
-    root of S = sum_i Q_i, so the hat forms sum to the identity. The two
-    maps have the same image; hat evaluated at T x equals the original at x.
+    ``hat`` holds the forms T^-1 Q_i T^-1 where T (an array, as is its
+    inverse ``T_inv``) is the symmetric square root of S = sum_i Q_i, so the
+    hat forms sum to the identity. The two maps have the same image; hat
+    evaluated at T x equals the original at x.
     """
 
-    __slots__ = ("original", "hat", "T", "T_inv")
+    __slots__ = ("hat", "T", "T_inv")
 
-    def __init__(self, original: QuadraticMap, hat: QuadraticMap,
-                 T: SymMatrix, T_inv: SymMatrix,
+    def __init__(self, hat: QuadraticMap, T: np.ndarray, T_inv: np.ndarray,
                  resid_tol: float = DEFAULTS.precondition_residual):
         resid = float(np.linalg.norm(hat.Q.sum(axis=0) - np.eye(hat.n)))
         if resid > resid_tol:
             raise ValueError(f"sum of normalized forms is {resid:.3e} from I")
-        self.original = original
         self.hat = hat
         self.T = T
         self.T_inv = T_inv
 
     def push_point(self, x) -> np.ndarray:
         """Map a point of the original variables to the normalized ones."""
-        return self.T.mat @ np.asarray(x, dtype=float).reshape(-1)
+        return self.T @ np.asarray(x, dtype=float).reshape(-1)
 
     def pull_point(self, y) -> np.ndarray:
         """Map a point of the normalized variables back to the original ones."""
-        return self.T_inv.mat @ np.asarray(y, dtype=float).reshape(-1)
+        return self.T_inv @ np.asarray(y, dtype=float).reshape(-1)
 
     def push_witness(self, X) -> SpectahedronPoint:
         """Transport a hull witness by the congruence X -> T X T.
 
         Preserves the hull point: <T^-1 Q_i T^-1, T X T> = <Q_i, X>. The
         input must be PSD with sum_i <Q_i, X> = 1, so the image has unit
-        trace and lands on the spectahedron.
+        trace and lands on the spectahedron, whose constructor symmetrizes
+        and checks it.
         """
-        Xm = as_sym(X).mat
-        out = self.T.mat @ Xm @ self.T.mat
-        return SpectahedronPoint(out)
+        return SpectahedronPoint(self.T @ np.asarray(X, dtype=float) @ self.T)
 
 
 def evaluate(qmap: QuadraticMap, x) -> np.ndarray:
@@ -199,25 +212,22 @@ def precondition(qmap: QuadraticMap) -> PreconditionedMap:
 
     S = sum_i Q_i is positive definite; with T = S^(1/2) the normalized
     forms are T^-1 Q_i T^-1. The identity hat(T x) = original(x) is exact up
-    to rounding, hence both maps have the same image. In floating point a
-    normalized form of a near-singular map can fail the Cholesky gate that
-    every original form passed; that raises NotPositiveDefinite (an
-    indefinite form would make ln q_i NaN in rounding).
+    to rounding, hence both maps have the same image. The products
+    T^-1 Q_i T^-1 are symmetrized and gated by the QuadraticMap constructor:
+    in floating point a normalized form of a near-singular map can fail the
+    Cholesky gate that every original form passed; that raises
+    NotPositiveDefinite (an indefinite form would make ln q_i NaN in
+    rounding).
     """
-    S = SymMatrix(qmap.Q.sum(axis=0))
-    T = sqrt_psd(S)
+    T = sqrt_psd(qmap.Q.sum(axis=0))
     T_inv = inverse_spd(T)
-    hat_forms = []
-    for i in range(qmap.k):
-        M = T_inv.mat @ qmap.Q[i] @ T_inv.mat
-        hat_forms.append(SymMatrix(M))
     try:
-        hat = QuadraticMap(hat_forms)
+        hat = QuadraticMap(T_inv @ Q @ T_inv for Q in qmap.Q)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"normalized {exc}; the map is too close to singular to "
             f"normalize by T^-1 Q_i T^-1") from exc
-    return PreconditionedMap(qmap, hat, T, T_inv)
+    return PreconditionedMap(hat, T, T_inv)
 
 
 def hull_point_from_witness(qmap: QuadraticMap, witness: SpectahedronPoint,
@@ -313,6 +323,19 @@ class InstanceFormatError(ValueError):
     """The instance JSON is malformed or has inconsistent shapes."""
 
 
+def _parse_matrix(value, n: int, what: str) -> np.ndarray:
+    """The n x n float array of a JSON matrix; any malformation (ragged
+    rows, non-numeric or overflowing entries, wrong shape) is an
+    InstanceFormatError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{what} is not a numeric matrix: {exc}") from exc
+    if arr.shape != (n, n):
+        raise InstanceFormatError(f"{what} has shape {arr.shape}, expected ({n}, {n})")
+    return arr
+
+
 def instance_to_json(qmap: QuadraticMap, witness=None,
                      points=None, weights=None) -> dict:
     """Serialize a map (and optional witness) to the instance schema."""
@@ -345,17 +368,12 @@ def instance_from_json(doc: dict):
         n = int(doc["n"])
         k = int(doc["k"])
         qlist = doc["Q"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
     if not isinstance(qlist, list) or len(qlist) != k:
         raise InstanceFormatError(f"expected {k} matrices in Q")
-    mats = []
-    for i, m in enumerate(qlist):
-        arr = np.asarray(m, dtype=float)
-        if arr.shape != (n, n):
-            raise InstanceFormatError(f"Q[{i}] has shape {arr.shape}, expected ({n}, {n})")
-        mats.append(arr)
-    qmap = QuadraticMap(mats)
+    qmap = QuadraticMap([_parse_matrix(m, n, f"Q[{i}]")
+                         for i, m in enumerate(qlist)])
 
     wit = doc.get("witness")
     if wit is None:
@@ -363,23 +381,21 @@ def instance_from_json(doc: dict):
     if not isinstance(wit, dict):
         raise InstanceFormatError("witness must be an object")
     if "X" in wit:
-        X = np.asarray(wit["X"], dtype=float)
-        if X.shape != (n, n):
-            raise InstanceFormatError(f"witness X has shape {X.shape}")
+        X = _sym_array(_parse_matrix(wit["X"], n, "witness X"))
         # Validate PSD and the unit-sum normalization against the map.
-        w, _ = sym_eigen(as_sym(X))
+        w, _ = sym_eigen(X)
         if w[0] < -DEFAULTS.psd_check * max(float(np.linalg.norm(X)), 1e-300):
             raise InstanceFormatError(f"witness X is not PSD (min eig {w[0]:.3e})")
-        total = float(np.einsum("kij,ij->", qmap.Q, 0.5 * (X + X.T)))
+        total = float(np.einsum("kij,ij->", qmap.Q, X))
         if abs(total - 1.0) > DEFAULTS.hull_sum:
             raise InstanceFormatError(
                 f"witness is normalized to sum {total!r}, expected 1")
-        return qmap, ("X", 0.5 * (X + X.T) / total)
+        return qmap, ("X", X / total)
     if "points" in wit:
         try:
             pts = [np.asarray(p, dtype=float).reshape(-1) for p in wit["points"]]
             wts = np.asarray(wit["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"malformed combination witness: {exc}") from exc
         if any(p.size != n for p in pts):
             raise InstanceFormatError("witness points must be n-vectors")

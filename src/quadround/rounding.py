@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import map_indexed
+from .bounds import LOG_SCORE_CUTOFF, TAIL_THRESHOLD
 from .config import DEFAULTS
 from .entropic_sdp import SdpSolution, solve
 from .linalg import sqrt_psd, sym_eigen
@@ -119,12 +120,12 @@ class RoundingOutcome:
     equal weights 1/m for rank-m; zero rows pad when the witness has lower
     rank). b is reproduced exactly by evaluating the map at the points
     (averaged for rank-m), kl equals the recomputed divergence from a, and
-    witness_Y carries the spectahedron witness in the rank-m case. sdp is
-    the relaxation solution the rounding was built on; its gap widens the
-    certified distance bound. samples_drawn counts every Gaussian vector
-    consumed, including the measure-zero redraws of exactly-zero pushes;
-    accepted_count / draws is the empirical acceptance rate (draws counts
-    single vectors for rank-one and batches for rank-m).
+    witness_Y carries the spectahedron witness Y (an array) in the rank-m
+    case. sdp is the relaxation solution the rounding was built on; its gap
+    widens the certified distance bound. samples_drawn counts every
+    Gaussian vector consumed, including the measure-zero redraws of
+    exactly-zero pushes; accepted_count / draws is the empirical acceptance
+    rate (draws counts single vectors for rank-one and batches for rank-m).
     """
 
     points: np.ndarray
@@ -132,7 +133,7 @@ class RoundingOutcome:
     kl: float
     samples_drawn: int
     accepted: bool
-    witness_Y: SpectahedronPoint | None
+    witness_Y: np.ndarray | None
     sdp: SdpSolution
     m: int | None = None
     accepted_count: int = 0
@@ -150,7 +151,7 @@ def acceptance(sq_norm_mean, log_score, m: int | None = None):
     -inf and is rejected.
     """
     if m is None:
-        cap, floor = 6.0, -3.0
+        cap, floor = TAIL_THRESHOLD, LOG_SCORE_CUTOFF
     else:
         sqm = math.sqrt(m)
         cap, floor = 1.0 + 3.0 / sqm, -12.0 / sqm
@@ -192,7 +193,7 @@ def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
     _check_preconditioned(qmap)
     _check_hull_consistent(qmap, a, witness)
     sol = solve(qmap, a, tol=tol, max_iters=max_iters)
-    Tt = sqrt_psd(sol.X_star.X).mat.T
+    Tt = sqrt_psd(sol.X_star).T
     Qstack, av, tau, n = qmap.Q, a.values, sol.rescale, qmap.n
     log_a = np.log(av)
     width = 1 if m is None else m
@@ -282,16 +283,15 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
     m equally weighted certificate points.
     """
     def finish(tx):
-        S = float(np.einsum("mi,mi->", tx, tx))
-        witness_Y = SpectahedronPoint(np.einsum("mi,mj->ij", tx, tx) / S)
-        b = SimplexVector(np.einsum("kij,ij->k", qmap.Q, witness_Y.mat))
-        return decompose_rank_m(witness_Y, m)[0], b, witness_Y
+        Y = np.einsum("mi,mj->ij", tx, tx) / float(np.einsum("mi,mi->", tx, tx))
+        b = SimplexVector(np.einsum("kij,ij->k", qmap.Q, Y))
+        return decompose_rank_m(Y, m)[0], b, Y
 
     return _round(qmap, a, X_witness, sampler, m, budget, tol, max_iters,
                   threads, finish)
 
 
-def decompose_rank_m(Y: SpectahedronPoint, m: int,
+def decompose_rank_m(Y: np.ndarray, m: int,
                      rank_tol: float = DEFAULTS.decompose_rank,
                      resid_tol: float = DEFAULTS.decompose_residual):
     """Split Y of rank <= m into Y = (1/m) sum_j y_j (x) y_j.
@@ -299,13 +299,15 @@ def decompose_rank_m(Y: SpectahedronPoint, m: int,
     The points are y_j = sqrt(m lambda_j) u_j over the leading eigenpairs
     (descending), padded with zero vectors up to m; the map sends zero to
     zero, so b stays a convex combination of at most m image points with
-    the uniform weights 1/m. Raises when eigenvalues beyond the m-th exceed
-    rank_tol or the reconstruction residual exceeds resid_tol.
+    the uniform weights 1/m. Y is a symmetric PSD array; its one
+    eigendecomposition here is residual-checked, and the call raises when
+    eigenvalues beyond the m-th exceed rank_tol or the reconstruction
+    residual exceeds resid_tol.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    n = Y.n
-    w, V = sym_eigen(Y.X)
+    n = Y.shape[0]
+    w, V = sym_eigen(Y)
     if n > m and float(w[: n - m].max()) > rank_tol:
         raise ValueError(
             f"rank exceeds {m}: eigenvalue {w[: n - m].max():.3e} beyond the m-th")
@@ -314,7 +316,7 @@ def decompose_rank_m(Y: SpectahedronPoint, m: int,
     pts = np.zeros((m, n))
     pts[: order.size] = (V[:, order] * np.sqrt(m * lam)).T
     recon = np.einsum("mi,mj->ij", pts, pts) / m
-    resid = float(np.linalg.norm(recon - Y.mat))
+    resid = float(np.linalg.norm(recon - Y))
     if resid > resid_tol:
         raise ValueError(f"reconstruction residual {resid:.3e} out of tolerance")
     return pts, SimplexVector(np.full(m, 1.0 / m))

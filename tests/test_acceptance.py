@@ -11,9 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from quadround import (GaussianSampler, SimplexVector, SpectahedronPoint,
-                       frobenius_inner, gauss_log_moments, gradient,
-                       hull_point_from_combination, laplace_tail_upper,
+from quadround import (GaussianSampler, SimplexVector, gauss_log_moments,
+                       gradient, hull_point_from_combination, laplace_tail_upper,
                        objective, phi, phi_expression, pinsker_lower_bound,
                        solve, sphere_max_oracle, sym_eigen)
 from quadround._util import sha256_hex
@@ -189,7 +188,7 @@ def test_criterion_6_rank_m_end_to_end(rank_m_runs):
         worst_margin = min(worst_margin, bound + gap - outcome.kl)
         # reconstruction residual of the decomposition
         recon = np.einsum("mi,mj->ij", outcome.points, outcome.points) / m
-        if not (np.linalg.norm(recon - outcome.witness_Y.mat) <= 1e-8):
+        if not (np.linalg.norm(recon - outcome.witness_Y) <= 1e-8):
             resid_fail += 1
         # b re-derived from the decomposition (points live in the
         # preconditioned coordinates)
@@ -224,7 +223,7 @@ def test_criterion_7_solver_properties(sandwich_runs):
         n = 2 + (i % 7)
         qmap = random_map(GaussianSampler(900000 + i), n, 1, 100.0)
         sol = solve(qmap, SimplexVector([1.0]), tol=1e-6)
-        w, _ = sym_eigen(qmap.form(0))
+        w, _ = sym_eigen(qmap.Q[0])
         if abs(sol.value - math.log(w[-1])) > 1e-6:
             k1_fail += 1
     # gradient vs central finite differences on 20 (instance, direction) pairs
@@ -241,10 +240,10 @@ def test_criterion_7_solver_properties(sandwich_runs):
         D -= np.trace(D) / n * np.eye(n)
         D /= np.linalg.norm(D)
         h = 1e-6
-        fp = objective(qmap, alpha, SpectahedronPoint(X0 + h * D, psd_tol=1.0))
-        fm = objective(qmap, alpha, SpectahedronPoint(X0 - h * D, psd_tol=1.0))
+        fp = objective(qmap, alpha, X0 + h * D)
+        fm = objective(qmap, alpha, X0 - h * D)
         fd = (fp - fm) / (2 * h)
-        an = frobenius_inner(gradient(qmap, alpha, SpectahedronPoint(X0)), D)
+        an = float(np.sum(gradient(qmap, alpha, X0) * D))
         if abs(fd - an) > 1e-4 * max(1e-6, abs(an)):
             fd_fail += 1
     ok = mono_fail == 0 and gap_fail == 0 and k1_fail == 0 and fd_fail == 0

@@ -212,6 +212,16 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
     bad.write_bytes(b'{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\xff"}')
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
+    # malformed headers and entries: overflowing n or k, a ragged form, a
+    # string entry in a form or in the witness
+    for text in ('{"n": 1e400, "k": 1, "Q": [[[1.0]]]}',
+                 '{"n": 1, "k": 1e400, "Q": [[[1.0]]]}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0]]]}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, "x"], [0.0, 1.0]]]}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], "witness": {"X": [["x"]]}}'):
+        bad.write_text(text)
+        assert run_cli("--quiet", "round", str(bad), "--rank-one",
+                       "--seed", "1") == 2, text
 
     notpd = tmp_path / "notpd.json"
     notpd.write_text(json.dumps(

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
-                       SpectahedronPoint, frobenius_inner, gradient,
-                       objective, precondition, rescale_to_unit, solve)
+                       gradient, objective, precondition, solve)
 
 from conftest import make_map, make_simplex
 
@@ -13,33 +12,31 @@ from conftest import make_map, make_simplex
 def test_objective_examples():
     m = QuadraticMap([np.eye(2), np.eye(2)])
     alpha = SimplexVector([0.4, 0.6])
-    X = SpectahedronPoint(np.diag([0.25, 0.75]))
+    X = np.diag([0.25, 0.75])
     assert objective(m, alpha, X) == pytest.approx(0.0, abs=1e-15)
 
     m1 = QuadraticMap([np.diag([1.0, 2.0])])
     assert objective(m1, SimplexVector([1.0]),
-                     SpectahedronPoint(np.diag([0.0, 1.0]))) == pytest.approx(
-        math.log(2.0), rel=1e-14)
+                     np.diag([0.0, 1.0])) == pytest.approx(math.log(2.0), rel=1e-14)
 
     m2 = QuadraticMap([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])])
     assert objective(m2, SimplexVector([0.5, 0.5]),
-                     SpectahedronPoint(np.eye(2) / 2)) == pytest.approx(
-        math.log(1.5), rel=1e-14)
+                     np.eye(2) / 2) == pytest.approx(math.log(1.5), rel=1e-14)
 
 
 def test_gradient_examples():
     m = QuadraticMap([np.eye(3), np.eye(3)])
-    X = SpectahedronPoint(np.eye(3) / 3)
-    G = gradient(m, SimplexVector([0.3, 0.7]), X)
-    assert np.allclose(G.mat, np.eye(3), atol=1e-14)
+    G = gradient(m, SimplexVector([0.3, 0.7]), np.eye(3) / 3)
+    assert np.allclose(G, np.eye(3), atol=1e-14)
 
     m1 = QuadraticMap([np.diag([1.0, 2.0])])
-    G = gradient(m1, SimplexVector([1.0]), SpectahedronPoint(np.eye(2) / 2))
-    assert np.allclose(G.mat, np.diag([1.0, 2.0]) / 1.5, rtol=1e-14)
+    G = gradient(m1, SimplexVector([1.0]), np.eye(2) / 2)
+    assert np.allclose(G, np.diag([1.0, 2.0]) / 1.5, rtol=1e-14)
 
 
 def test_gradient_matches_finite_differences():
-    # central differences along random trace-zero symmetric directions
+    # central differences along random trace-zero symmetric directions; the
+    # solver and its sphere polish call these same two functions
     sampler = GaussianSampler(41)
     checked = 0
     for trial in range(20):
@@ -53,11 +50,9 @@ def test_gradient_matches_finite_differences():
         D -= np.trace(D) / n * np.eye(n)
         D /= np.linalg.norm(D)
         h = 1e-6
-        Xp = SpectahedronPoint(X0 + h * D, psd_tol=1.0)
-        Xm = SpectahedronPoint(X0 - h * D, psd_tol=1.0)
-        fd = (objective(qmap, alpha, Xp) - objective(qmap, alpha, Xm)) / (2 * h)
-        G = gradient(qmap, alpha, SpectahedronPoint(X0))
-        analytic = frobenius_inner(G, D)
+        fd = (objective(qmap, alpha, X0 + h * D)
+              - objective(qmap, alpha, X0 - h * D)) / (2 * h)
+        analytic = float(np.sum(gradient(qmap, alpha, X0) * D))
         assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-10)
         checked += 1
     assert checked == 20
@@ -68,7 +63,7 @@ def test_solve_k1_recovers_top_eigenvalue():
     sol = solve(qmap, SimplexVector([1.0]))
     assert sol.converged
     assert sol.value == pytest.approx(math.log(2.0), abs=1e-6)
-    assert np.allclose(sol.X_star.mat, np.diag([0.0, 1.0]), atol=1e-6)
+    assert np.allclose(sol.X_star, np.diag([0.0, 1.0]), atol=1e-6)
 
 
 def test_solve_identity_forms_trivial():
@@ -123,7 +118,8 @@ def test_solve_monotone_feasible_certified():
         trace = sol.objective_trace
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
         # feasibility of the returned point
-        X = sol.X_star.mat
+        X = sol.X_star
+        assert np.array_equal(X, X.T)
         assert abs(np.trace(X) - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(X)[0] >= -1e-9
         # certificate: no feasible point beats value + gap
@@ -132,13 +128,13 @@ def test_solve_monotone_feasible_certified():
             Z = sampler.normals((n, n))
             W = Z @ Z.T
             W = W / np.trace(W)
-            val = objective(qmap, alpha, SpectahedronPoint(W))
+            val = objective(qmap, alpha, W)
             assert val <= sol.value + sol.fw_gap + 1e-9
         # sandwich lower half: rank-one points cannot beat the relaxation
         for _ in range(50):
             x = sampler.normals((n,))
             x /= np.linalg.norm(x)
-            val = objective(qmap, alpha, SpectahedronPoint(np.outer(x, x)))
+            val = objective(qmap, alpha, np.outer(x, x))
             assert val <= sol.value + sol.fw_gap + 1e-9
 
 
@@ -154,30 +150,29 @@ def test_solve_iteration_cap_flag():
 
 
 def test_objective_fails_loudly_on_invariant_breach():
-    # a non-PSD "point" smuggled past validation must trip the assertion,
-    # not return a silent nan
+    # a non-PSD array (objective does not validate its point) must trip the
+    # assertion, not return a silent nan
     qmap = QuadraticMap([np.diag([1e-6, 1.0])])
-    bad = SpectahedronPoint(np.diag([1.5, -0.5]), psd_tol=10.0)
+    bad = np.diag([1.5, -0.5])
     with pytest.raises(AssertionError):
         objective(qmap, SimplexVector([1.0]), bad)
 
 
 def test_rescale_to_unit():
-    # already normalized: solving the uniform-forms instance leaves the map
+    # sol.rescale holds tau_i with <tau_i Q_i, X_star> = 1
     qmap = QuadraticMap([np.eye(2) * 2.0])
     sol = solve(qmap, SimplexVector([1.0]))
-    # <Q, X*> = 2 * trace(X*)/... for Q = 2I: <Q, X> = 2, tau = 1/2
-    resc = rescale_to_unit(qmap, sol)
-    assert frobenius_inner(resc.form(0), sol.X_star.X) == pytest.approx(1.0, rel=1e-12)
+    # for Q = 2I: <Q, X> = 2 trace(X) = 2, tau = 1/2
+    assert sol.rescale[0] == pytest.approx(0.5, rel=1e-12)
+    assert np.sum(sol.rescale[0] * qmap.Q[0] * sol.X_star) == pytest.approx(1.0, rel=1e-12)
 
     qmap = QuadraticMap([np.diag([1.0, 2.0])])
     sol = solve(qmap, SimplexVector([1.0]))
-    resc = rescale_to_unit(qmap, sol)
-    assert np.allclose(resc.Q[0], np.diag([0.5, 1.0]), atol=1e-6)
+    assert np.allclose(sol.rescale[0] * qmap.Q[0], np.diag([0.5, 1.0]), atol=1e-6)
 
     qmap = make_map(6000, 4, 3)
     alpha = make_simplex(6001, 3)
     sol = solve(qmap, alpha)
-    resc = rescale_to_unit(qmap, sol)
-    vals = np.einsum("kij,ij->k", resc.Q, sol.X_star.mat)
+    assert np.all(sol.rescale > 0.0)
+    vals = np.einsum("kij,ij->k", qmap.Q * sol.rescale[:, None, None], sol.X_star)
     assert np.allclose(vals, 1.0, atol=1e-9)

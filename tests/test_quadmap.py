@@ -8,6 +8,7 @@ from quadround import (GaussianSampler, NotPositiveDefinite, QuadraticMap,
                        hull_point_from_combination, hull_point_from_witness,
                        instance_from_json, instance_to_json, kl_divergence,
                        pinsker_lower_bound, precondition)
+from quadround.instances import random_map, random_witness
 from quadround.quadmap import InstanceFormatError, evaluate_batch
 
 from conftest import make_map, make_simplex
@@ -22,7 +23,39 @@ def test_quadratic_map_validation():
         QuadraticMap([np.eye(2), np.eye(3)])
     m = QuadraticMap([np.eye(2), np.diag([1.0, 2.0])])
     assert m.n == 2 and m.k == 2
-    assert np.array_equal(m.form(1).mat, np.diag([1.0, 2.0]))
+    assert np.array_equal(m.Q[1], np.diag([1.0, 2.0]))
+
+
+def test_quadratic_map_symmetrizes_and_validates():
+    # the boundary check: square, n >= 1, finite, symmetrized once
+    m = QuadraticMap([[[1.0, 2.0], [0.0, 3.0]]])
+    assert np.array_equal(m.Q[0], m.Q[0].T)
+    assert m.Q[0, 0, 1] == 1.0
+    with pytest.raises(ValueError):
+        QuadraticMap([[[1.0, 2.0]]])
+    with pytest.raises(ValueError):
+        QuadraticMap([[[np.nan]]])
+    with pytest.raises(ValueError):
+        QuadraticMap([np.zeros((0, 0))])
+    X = SpectahedronPoint([[0.5, 0.2], [0.0, 0.5]])
+    assert np.array_equal(X.mat, X.mat.T)
+    assert X.mat[0, 1] == 0.1
+    with pytest.raises(ValueError):
+        SpectahedronPoint([[np.inf]])
+
+
+def test_boundary_symmetrization_is_exact():
+    # Products such as (V * w) @ V.T, T^-1 Q T^-1 and T X T are symmetric
+    # only up to roundoff; the boundary constructors make them exactly so,
+    # and the result digests depend on it.
+    for n, k in ((4, 3), (24, 10)):
+        sampler = GaussianSampler(n + k)
+        qmap = random_map(sampler, n, k, condition_cap=100.0)
+        assert np.array_equal(qmap.Q, qmap.Q.transpose(0, 2, 1))
+        prec = precondition(qmap)
+        assert np.array_equal(prec.hat.Q, prec.hat.Q.transpose(0, 2, 1))
+        X = prec.push_witness(random_witness(sampler.substream(k), qmap)).mat
+        assert np.array_equal(X, X.T)
 
 
 def test_simplex_vector():
@@ -55,6 +88,18 @@ def test_evaluate_examples():
     assert np.allclose(evaluate(m2, [1.0, 1.0]), [3.0, 4.0])
     with pytest.raises(ValueError):
         evaluate(m2, [1.0, 1.0, 1.0])
+
+
+def test_evaluate_batch_is_frobenius_bridge():
+    # x' A x equals <A, x (x) x> = sum_ij A_ij x_i x_j for symmetric A
+    sampler = GaussianSampler(11)
+    for i in range(50):
+        n = 2 + i % 5
+        G = sampler.normals((n, n))
+        A = 0.5 * (G + G.T)
+        x = sampler.normals((n,))
+        assert evaluate_batch(A[None], x[None])[0, 0] == pytest.approx(
+            float(np.sum(A * np.outer(x, x))), rel=1e-12, abs=1e-12)
 
 
 def test_evaluate_homogeneity():
@@ -90,11 +135,11 @@ def test_evaluate_batch_rank_one_shortcut():
 
 def test_precondition_examples():
     prec = precondition(QuadraticMap([np.diag([4.0, 9.0])]))
-    assert np.allclose(prec.T.mat, np.diag([2.0, 3.0]))
+    assert np.allclose(prec.T, np.diag([2.0, 3.0]))
     assert np.allclose(prec.hat.Q[0], np.eye(2), atol=1e-12)
 
     prec = precondition(QuadraticMap([np.eye(2), np.eye(2)]))
-    assert np.allclose(prec.T.mat, math.sqrt(2.0) * np.eye(2))
+    assert np.allclose(prec.T, math.sqrt(2.0) * np.eye(2))
     assert np.allclose(prec.hat.Q, np.stack([np.eye(2) / 2] * 2), atol=1e-12)
 
 
@@ -242,6 +287,15 @@ def test_instance_json_roundtrip():
         instance_from_json({"n": 2, "k": 1})
     with pytest.raises(InstanceFormatError):
         instance_from_json({"n": 2, "k": 1, "Q": [[[1.0, 0.0]]]})
+    # malformed headers and entries are format errors, not ValueErrors
+    for bad in ({"n": 1e400, "k": 1, "Q": [[[1.0]]]},
+                {"n": 1, "k": 1e400, "Q": [[[1.0]]]},
+                {"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0]]]},
+                {"n": 2, "k": 1, "Q": [[[1.0, "x"], [0.0, 1.0]]]},
+                {"n": 1, "k": 1, "Q": [[[10 ** 400]]]},
+                {"n": 1, "k": 1, "Q": [[[1.0]]], "witness": {"X": [["x"]]}}):
+        with pytest.raises(InstanceFormatError):
+            instance_from_json(bad)
     with pytest.raises(NotPositiveDefinite):
         instance_from_json({"n": 2, "k": 1,
                             "Q": [[[1.0, 2.0], [2.0, 1.0]]]})

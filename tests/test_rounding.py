@@ -7,8 +7,8 @@ from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        SpectahedronPoint, acceptance, decompose_rank_m,
                        evaluate, hull_point_from_combination,
                        hull_point_from_witness, kl_divergence,
-                       pinsker_lower_bound, precondition, rescale_to_unit,
-                       round_rank_m, round_rank_one, solve, sqrt_psd)
+                       pinsker_lower_bound, precondition, round_rank_m,
+                       round_rank_one, solve, sqrt_psd)
 
 from conftest import make_map, make_preconditioned
 
@@ -50,8 +50,8 @@ def _symmetric_rescaled(k=2, n=2):
     qmap = QuadraticMap([np.eye(n) / k] * k)
     alpha = SimplexVector(np.full(k, 1.0 / k))
     sol = solve(qmap, alpha)
-    resc = rescale_to_unit(qmap, sol)
-    T = sqrt_psd(sol.X_star.X)
+    resc = QuadraticMap(qmap.Q * sol.rescale[:, None, None])
+    T = sqrt_psd(sol.X_star)
     return resc, T, alpha
 
 
@@ -59,14 +59,14 @@ def test_accept_rank_one_symmetric_instance():
     resc, T, alpha = _symmetric_rescaled()
 
     def accepts(x):
-        tx = T.mat @ x
+        tx = T @ x
         with np.errstate(divide="ignore"):
             score = float(alpha.values @ np.log(evaluate(resc, tx)))
         return bool(acceptance(float(tx @ tx), score))
 
     # scale x so that ||T x||^2 = 1: the rescaled log-score is exactly 0
     x = np.array([1.0, 0.0])
-    x = x / math.sqrt(float(x @ T.mat @ T.mat @ x))
+    x = x / math.sqrt(float(x @ T @ T @ x))
     assert accepts(x)
     # norm cutoff: ||T x||^2 = 7 rejects regardless of the log term
     x7 = x * math.sqrt(7.0)
@@ -91,14 +91,14 @@ def test_accept_rank_one_rate_floor():
     Xh = prec.push_witness(random_witness(GaussianSampler(43), qmap))
     a = hull_point_from_witness(prec.hat, Xh)
     sol = solve(prec.hat, a)
-    resc = rescale_to_unit(prec.hat, sol)
-    T = sqrt_psd(sol.X_star.X)
+    resc_Q = prec.hat.Q * sol.rescale[:, None, None]
+    T = sqrt_psd(sol.X_star)
     draws = 10 ** 4
     z = GaussianSampler(99).normals((draws, 4))
-    tx = z @ T.mat.T
+    tx = z @ T.T
     nrm2 = np.einsum("bi,bi->b", tx, tx)
     logterm = np.einsum("k,bk->b", a.values,
-                        np.log(np.einsum("kij,bi,bj->bk", resc.Q, tx, tx)))
+                        np.log(np.einsum("kij,bi,bj->bk", resc_Q, tx, tx)))
     paper = (nrm2 <= 6.0) & (logterm >= -3.0)
     rate = float(np.mean(paper))
     stderr = math.sqrt(rate * (1.0 - rate) / draws)
@@ -180,7 +180,7 @@ def test_round_rank_one_rejects_bad_inputs():
         round_rank_one(prec.hat, a, Xh, GaussianSampler(1), budget=0)
     with pytest.raises(ValueError):
         # a raw (unnormalized) map fails the preconditioning gate
-        round_rank_one(prec.original, a, Xh, GaussianSampler(1), budget=10)
+        round_rank_one(make_map(81, 3, 2), a, Xh, GaussianSampler(1), budget=10)
     with pytest.raises(ValueError):
         # witness inconsistent with the hull point
         other = SpectahedronPoint(np.eye(3) / 3)
@@ -204,7 +204,8 @@ def test_round_rank_m_m1_is_rank_one_point():
     a = hull_point_from_witness(prec.hat, Xh)
     out = round_rank_m(prec.hat, a, Xh, 1, GaussianSampler(92), budget=50)
     # Y = y (x) y for a unit vector y
-    w = np.linalg.eigvalsh(out.witness_Y.mat)
+    assert np.array_equal(out.witness_Y, out.witness_Y.T)
+    w = np.linalg.eigvalsh(out.witness_Y)
     assert np.allclose(w[:-1], 0.0, atol=1e-12)
     assert w[-1] == pytest.approx(1.0, abs=1e-12)
     assert out.points.shape == (1, 4)
@@ -308,7 +309,7 @@ def test_round_matches_explicit_reference(m, budget):
     out = _round_mode(qmap, a, Xh, m, seed, budget)
 
     sol = solve(qmap, a)
-    T = sqrt_psd(sol.X_star.X).mat
+    T = sqrt_psd(sol.X_star)
     width = 1 if m is None else m
     per_block = 256 // width          # the fixed draw-block size
     kls, accepted, drawn = [], 0, 0
@@ -337,14 +338,13 @@ def test_round_matches_explicit_reference(m, budget):
 
 def test_decompose_rank_m_examples():
     u = np.array([0.6, 0.0, 0.8])
-    Y = SpectahedronPoint(np.outer(u, u))
-    pts, weights = decompose_rank_m(Y, 2)
+    pts, weights = decompose_rank_m(np.outer(u, u), 2)
     assert pts.shape == (2, 3)
     assert np.allclose(np.abs(pts[0]), math.sqrt(2.0) * np.abs(u), atol=1e-12)
     assert np.allclose(pts[1], 0.0)
     assert np.allclose(weights.values, [0.5, 0.5])
 
-    pts, _ = decompose_rank_m(SpectahedronPoint(np.eye(2) / 2), 2)
+    pts, _ = decompose_rank_m(np.eye(2) / 2, 2)
     # eigenvalues 1/2 each, sqrt(2 * 1/2) = 1: the standard basis up to
     # order and sign
     assert np.allclose(sorted(np.abs(pts).tolist()), [[0.0, 1.0], [1.0, 0.0]],
@@ -356,10 +356,10 @@ def test_decompose_rank_m_random_reconstruction():
     G = sampler.normals((6, 3))          # rank-3 PSD
     Y = G @ G.T
     Y = Y / np.trace(Y)
-    pts, _ = decompose_rank_m(SpectahedronPoint(Y), 4)
+    pts, _ = decompose_rank_m(Y, 4)
     recon = np.einsum("mi,mj->ij", pts, pts) / 4
     assert np.linalg.norm(recon - Y) <= 1e-8
     with pytest.raises(ValueError):
-        decompose_rank_m(SpectahedronPoint(Y), 2)   # rank 3 exceeds m = 2
+        decompose_rank_m(Y, 2)   # rank 3 exceeds m = 2
     with pytest.raises(ValueError):
-        decompose_rank_m(SpectahedronPoint(Y), 0)
+        decompose_rank_m(Y, 0)

@@ -13,7 +13,7 @@ and seeded Monte Carlo.
 
 from .bounds import (BoundReport, constants, gauss_log_moments, laplace_tail_upper,
                      log_gamma, phi, phi_expression, rank_m_abs_log, rank_m_beta)
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .entropic_sdp import SdpSolution, gradient, objective, solve
 from .linalg import (LinalgError, NotPositiveDefinite, cholesky, inverse_spd,
                      sqrt_psd, sym_eigen)
@@ -25,8 +25,8 @@ from .quadmap import (PreconditionedMap, QuadraticMap, SimplexVector,
 from .rounding import (GaussianSampler, RoundingOutcome, acceptance,
                        decompose_rank_m, round_rank_m, round_rank_one)
 from .verify import (DiagonalForm, McEstimate, SandwichReport,
-                     SandwichViolation, check_sandwich, extremality_probe,
-                     mc_abs_log_moment, mc_estimates, mc_rank_m_abs_log,
-                     mc_tail, sphere_max_oracle)
+                     SandwichViolation, check_sandwich, mc_abs_log_moment,
+                     mc_estimates, mc_rank_m_abs_log, mc_tail,
+                     sphere_max_oracle)
 
 __version__ = "0.1.0"

@@ -57,14 +57,15 @@ def _phi_log(t: float, alpha: float) -> float:
     return alpha * math.log(2.0 / t) + log_gamma(alpha + 0.5) - 0.5 * math.log(math.pi)
 
 
-def phi(t: float, width_tol: float = DEFAULTS.golden_section) -> float:
+def phi(t: float) -> float:
     """Optimized Gaussian tail bound: min over alpha >= 1 of phi_expression.
 
     The log of the expression is convex in alpha (log-Gamma is convex), so a
     golden-section search over [1, alpha_max] finds the minimum; alpha_max =
     max(1, 10 ln t + 10) safely contains the optimizer for t <= 1e6. The
     boundary alpha = 1 (where the expression equals exactly 1/t) is checked
-    separately so small t returns the Markov value.
+    separately so small t returns the Markov value. The search stops at a
+    bracket of width DEFAULTS.golden_section.
     """
     if t < 1.0:
         raise ValueError("phi is defined for t >= 1")
@@ -73,7 +74,7 @@ def phi(t: float, width_tol: float = DEFAULTS.golden_section) -> float:
     c = hi - inv * (hi - lo)
     d = lo + inv * (hi - lo)
     fc, fd = _phi_log(t, c), _phi_log(t, d)
-    while hi - lo > width_tol:
+    while hi - lo > DEFAULTS.golden_section:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - inv * (hi - lo)
@@ -96,7 +97,7 @@ def laplace_tail_upper(m: int, t: float) -> float:
     return math.exp(0.5 * m * (1.0 - t + math.log(t)))
 
 
-def gauss_log_moments(abs_tol: float = DEFAULTS.quad_abs) -> tuple[float, float]:
+def gauss_log_moments() -> tuple[float, float]:
     """Adaptive quadrature for the two one-dimensional Gaussian log moments.
 
     Returns (m1, m2) with
@@ -105,8 +106,9 @@ def gauss_log_moments(abs_tol: float = DEFAULTS.quad_abs) -> tuple[float, float]
     m1 is E |ln q| for a rank-one form and m2 is E ln^2 of a squared standard
     normal. The integrable log singularity at 0 is handled by splitting the
     range at x = 1 (QUADPACK adapts to the endpoint). Raises if the reported
-    quadrature error exceeds abs_tol.
+    quadrature error exceeds abs_tol = DEFAULTS.quad_abs.
     """
+    abs_tol = DEFAULTS.quad_abs
 
     def integrate(f) -> float:
         total = 0.0

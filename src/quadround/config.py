@@ -1,9 +1,11 @@
-"""Centralized numerical tolerances and iteration defaults.
+"""The numerical tolerances of the library, in one table.
 
-Every tolerance used by the library is a parameter of the operation that
-needs it; the values below are the defaults. They are collected in a single
-frozen record so that tests and callers can see (and override) the whole
-numerical contract in one place.
+DEFAULTS is the one place these numbers live, with the solver's iteration
+cap and the default rounding budgets. Each tolerance is read, at the point
+of use, by the one operation that needs it; no function takes a tolerance
+as an argument, so nothing overrides the table per call. Only the gap
+tolerance and the budgets (the --tol and --budget options) and solve's
+max_iters are arguments, and they default to the values here.
 """
 
 from __future__ import annotations

@@ -87,12 +87,12 @@ def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> np.ndar
     return np.einsum("k,kij->ij", alpha.values / vals, qmap.Q)
 
 
-def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray,
-                 width_tol: float) -> float:
+def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     """Maximize gamma -> sum alpha ln((1-gamma) c + gamma d) over [0, 1].
 
-    The function is concave; bisect on its derivative. c and d are the
-    per-form inner products at the current point and at the vertex.
+    The function is concave; bisect on its derivative down to a bracket of
+    width DEFAULTS.line_search. c and d are the per-form inner products at
+    the current point and at the vertex.
     """
     diff = d - c
 
@@ -104,7 +104,7 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray,
     if deriv(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > width_tol:
+    while hi - lo > DEFAULTS.line_search:
         mid = 0.5 * (lo + hi)
         if deriv(mid) > 0.0:
             lo = mid
@@ -113,13 +113,14 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray,
-                   max_steps: int = 200) -> np.ndarray:
+def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
+                   X: np.ndarray) -> np.ndarray:
     """Monotone ascent of f(Y Y') over ||Y||_F = 1 starting at Y = X^(1/2).
 
-    Backtracking (Armijo) projected gradient ascent; the Riemannian gradient
-    at Y is 2 (G Y - Y) because <2 G Y, Y> = 2 <G, X> = 2. Returns a feasible
-    X whose objective is at least the input's.
+    At most 200 steps of backtracking (Armijo) projected gradient ascent;
+    the Riemannian gradient at Y is 2 (G Y - Y) because <2 G Y, Y> =
+    2 <G, X> = 2. Returns a feasible X whose objective is at least the
+    input's.
     """
     w, V = np.linalg.eigh(X)
     Y = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
@@ -131,7 +132,7 @@ def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray,
     Xcur = Y @ Y.T
     val = objective(qmap, alpha, Xcur)
     step = 1.0
-    for _ in range(max_steps):
+    for _ in range(200):
         G = gradient(qmap, alpha, Xcur)
         R = 2.0 * (G @ Y - Y)
         rn = float(np.linalg.norm(R))
@@ -156,8 +157,7 @@ def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray,
 
 def solve(qmap: QuadraticMap, alpha: SimplexVector,
           tol: float = DEFAULTS.fw_gap,
-          max_iters: int = DEFAULTS.fw_max_iters,
-          line_search_tol: float = DEFAULTS.line_search) -> SdpSolution:
+          max_iters: int = DEFAULTS.fw_max_iters) -> SdpSolution:
     """Frank-Wolfe with exact line search and sphere polish; X_0 = I / n.
 
     Terminates when the gap <G, v v' - X> drops to tol or after max_iters
@@ -186,7 +186,7 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
         prev_val = val
         trace_log.append(val)
         G = gradient(qmap, alpha, X)
-        wG, VG = _eigh_checked(G, DEFAULTS.eigen_residual)
+        wG, VG = _eigh_checked(G)
         v = VG[:, -1]
         gap = float(wG[-1] - np.sum(G * X))
         iterations = it
@@ -197,7 +197,7 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
             break
         c = _inner_values(Qstack, X)
         d = np.einsum("kij,i,j->k", Qstack, v, v)
-        gamma = _line_search(al, c, d, line_search_tol)
+        gamma = _line_search(al, c, d)
         X = (1.0 - gamma) * X + gamma * np.outer(v, v)
         X = 0.5 * (X + X.T)
         X = _sphere_polish(qmap, alpha, X)

@@ -34,13 +34,15 @@ class EigenConvergenceError(LinalgError):
     """The symmetric eigensolver failed to meet its residual contract."""
 
 
-def _eigh_checked(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric array with residual verification.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     Raises EigenConvergenceError if LAPACK fails or the residual
-    ||A V - V diag(w)||_F exceeds tol * max(||A||_F, 1e-300).
+    ||A V - V diag(w)||_F exceeds tol * max(||A||_F, 1e-300), with
+    tol = DEFAULTS.eigen_residual.
     """
+    tol = DEFAULTS.eigen_residual
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -56,22 +58,21 @@ def _eigh_checked(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def sym_eigen(a, tol: float = DEFAULTS.eigen_residual):
+def sym_eigen(a):
     """Full eigendecomposition: eigenvalues ascending, orthonormal eigenvectors.
 
-    Satisfies ||A v_j - w_j v_j|| <= tol * ||A||_F and V'V = I to tol.
+    Satisfies ||A v_j - w_j v_j|| <= tol * ||A||_F and V'V = I to tol
+    (tol = DEFAULTS.eigen_residual).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _eigh_checked(a, tol)
+    return _eigh_checked(a)
 
 
-def cholesky(a, rel_tol: float = DEFAULTS.cholesky_relative) -> np.ndarray:
+def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L' = A for positive definite A.
 
     Raises NotPositiveDefinite otherwise; this is the validation gate for
     quadratic-form input. The factorization residual is checked against
-    rel_tol * ||A||_F.
+    DEFAULTS.cholesky_relative * ||A||_F.
     """
     try:
         L = np.linalg.cholesky(a)
@@ -79,21 +80,22 @@ def cholesky(a, rel_tol: float = DEFAULTS.cholesky_relative) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
     scale = max(float(np.linalg.norm(a)), 1e-300)
     resid = float(np.linalg.norm(L @ L.T - a))
-    if resid > rel_tol * scale:
+    if resid > DEFAULTS.cholesky_relative * scale:
         raise LinalgError(f"cholesky residual {resid:.3e} out of tolerance")
     return L
 
 
-def sqrt_psd(a, clamp: float = DEFAULTS.psd_clamp,
-             resid_tol: float = DEFAULTS.sqrt_residual) -> np.ndarray:
+def sqrt_psd(a) -> np.ndarray:
     """Symmetric PSD square root T with T^2 = A, via eigendecomposition.
 
     Eigenvalues in [-clamp * ||A||_F, 0] are set to zero (rounding routinely
     produces slightly indefinite near-PSD matrices); anything more negative
     raises NotPositiveDefinite. The residual ||T^2 - A||_F is verified
-    against resid_tol * max(1, ||A||_F).
+    against resid_tol * max(1, ||A||_F), with clamp = DEFAULTS.psd_clamp
+    and resid_tol = DEFAULTS.sqrt_residual.
     """
-    w, v = _eigh_checked(a, DEFAULTS.eigen_residual)
+    clamp = DEFAULTS.psd_clamp
+    w, v = _eigh_checked(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     if w[0] < -clamp * scale:
         raise NotPositiveDefinite(
@@ -102,16 +104,16 @@ def sqrt_psd(a, clamp: float = DEFAULTS.psd_clamp,
     T = (v * np.sqrt(w)) @ v.T
     T = 0.5 * (T + T.T)
     resid = float(np.linalg.norm(T @ T - a))
-    if resid > resid_tol * max(1.0, scale):
+    if resid > DEFAULTS.sqrt_residual * max(1.0, scale):
         raise LinalgError(f"sqrt residual {resid:.3e} out of tolerance")
     return T
 
 
-def inverse_spd(a, resid_tol: float = DEFAULTS.inverse_residual) -> np.ndarray:
+def inverse_spd(a) -> np.ndarray:
     """Inverse of a positive definite matrix via Cholesky solves.
 
-    Verifies ||A A^-1 - I||_F <= resid_tol; raises NotPositiveDefinite when
-    the factorization fails.
+    Verifies ||A A^-1 - I||_F <= DEFAULTS.inverse_residual; raises
+    NotPositiveDefinite when the factorization fails.
     """
     L = cholesky(a)
     n = a.shape[0]
@@ -120,6 +122,6 @@ def inverse_spd(a, resid_tol: float = DEFAULTS.inverse_residual) -> np.ndarray:
     inv = np.linalg.solve(L.T, y)
     inv = 0.5 * (inv + inv.T)
     resid = float(np.linalg.norm(a @ inv - np.eye(n)))
-    if resid > resid_tol:
+    if resid > DEFAULTS.inverse_residual:
         raise LinalgError(f"inverse residual {resid:.3e} out of tolerance")
     return inv

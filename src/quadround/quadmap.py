@@ -50,13 +50,14 @@ class SimplexVector:
     """Nonnegative k-vector summing to 1 (probability vector).
 
     Construction renormalizes by the sum, but rejects input whose sum
-    deviates from 1 by more than ``sum_tol`` and input with genuinely
-    negative entries (values above -1e-12 are clamped to zero first).
+    deviates from 1 by more than DEFAULTS.simplex_sum and input with
+    genuinely negative entries (values above -1e-12 are clamped to zero
+    first).
     """
 
     __slots__ = ("values",)
 
-    def __init__(self, values, sum_tol: float = DEFAULTS.simplex_sum):
+    def __init__(self, values):
         v = np.array(values, dtype=float).reshape(-1)
         if v.size < 1:
             raise ValueError("simplex vector must have at least one entry")
@@ -66,8 +67,9 @@ class SimplexVector:
             raise ValueError(f"negative entry {v.min():.3e} in simplex vector")
         v = np.clip(v, 0.0, None)
         s = float(v.sum())
-        if abs(s - 1.0) > sum_tol:
-            raise ValueError(f"entries sum to {s!r}, more than {sum_tol} from 1")
+        if abs(s - 1.0) > DEFAULTS.simplex_sum:
+            raise ValueError(
+                f"entries sum to {s!r}, more than {DEFAULTS.simplex_sum} from 1")
         self.values = v / s
 
     @property
@@ -148,16 +150,16 @@ class PreconditionedMap:
 
     ``hat`` holds the forms T^-1 Q_i T^-1 where T (an array, as is its
     inverse ``T_inv``) is the symmetric square root of S = sum_i Q_i, so the
-    hat forms sum to the identity. The two maps have the same image; hat
-    evaluated at T x equals the original at x.
+    hat forms sum to the identity (to DEFAULTS.precondition_residual). The
+    two maps have the same image; hat evaluated at T x equals the original
+    at x.
     """
 
     __slots__ = ("hat", "T", "T_inv")
 
-    def __init__(self, hat: QuadraticMap, T: np.ndarray, T_inv: np.ndarray,
-                 resid_tol: float = DEFAULTS.precondition_residual):
+    def __init__(self, hat: QuadraticMap, T: np.ndarray, T_inv: np.ndarray):
         resid = float(np.linalg.norm(hat.Q.sum(axis=0) - np.eye(hat.n)))
-        if resid > resid_tol:
+        if resid > DEFAULTS.precondition_residual:
             raise ValueError(f"sum of normalized forms is {resid:.3e} from I")
         self.hat = hat
         self.T = T
@@ -230,19 +232,19 @@ def precondition(qmap: QuadraticMap) -> PreconditionedMap:
     return PreconditionedMap(hat, T, T_inv)
 
 
-def hull_point_from_witness(qmap: QuadraticMap, witness: SpectahedronPoint,
-                            sum_tol: float = DEFAULTS.hull_sum) -> SimplexVector:
+def hull_point_from_witness(qmap: QuadraticMap,
+                            witness: SpectahedronPoint) -> SimplexVector:
     """Hull point a with a_i = <Q_i, X> for a spectahedron witness X.
 
     Requires a preconditioned map (forms summing to I) so that
-    sum_i a_i = trace(X) = 1; deviations beyond sum_tol raise.
+    sum_i a_i = trace(X) = 1; deviations beyond DEFAULTS.hull_sum raise.
     """
     a = np.einsum("kij,ij->k", qmap.Q, witness.mat)
     s = float(a.sum())
-    if abs(s - 1.0) > sum_tol:
+    if abs(s - 1.0) > DEFAULTS.hull_sum:
         raise ValueError(
             f"hull coordinates sum to {s!r}; map is not preconditioned")
-    return SimplexVector(a, sum_tol=sum_tol)
+    return SimplexVector(a)
 
 
 def hull_point_from_combination(qmap: QuadraticMap, points, weights: SimplexVector):
@@ -323,16 +325,26 @@ class InstanceFormatError(ValueError):
     """The instance JSON is malformed or has inconsistent shapes."""
 
 
-def _parse_matrix(value, n: int, what: str) -> np.ndarray:
-    """The n x n float array of a JSON matrix; any malformation (ragged
-    rows, non-numeric or overflowing entries, wrong shape) is an
-    InstanceFormatError."""
+def _parse_array(value, what: str, shape=None) -> np.ndarray:
+    """The float array of a JSON number or nested list of numbers.
+
+    A ragged list, an entry that is null, a string (even a numeric one), a
+    boolean, an integer beyond int64 (numpy infers a dtype outside "iuf"
+    for these) or beyond the float range, and a shape other than ``shape``
+    when one is given, are each an InstanceFormatError.
+    """
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceFormatError(f"{what} is not a numeric matrix: {exc}") from exc
-    if arr.shape != (n, n):
-        raise InstanceFormatError(f"{what} has shape {arr.shape}, expected ({n}, {n})")
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{what} is not numeric: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InstanceFormatError(
+            f"{what} must hold numbers only, not null, strings or booleans")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise InstanceFormatError(f"{what} has entries that are not finite")
+    if shape is not None and arr.shape != shape:
+        raise InstanceFormatError(f"{what} has shape {arr.shape}, expected {shape}")
     return arr
 
 
@@ -365,14 +377,14 @@ def instance_from_json(doc: dict):
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-        qlist = doc["Q"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
+        n, k, qlist = doc["n"], doc["k"], doc["Q"]
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing field: {exc}") from exc
+    if type(n) is not int or type(k) is not int:
+        raise InstanceFormatError(f"n and k must be integers, got {n!r} and {k!r}")
     if not isinstance(qlist, list) or len(qlist) != k:
         raise InstanceFormatError(f"expected {k} matrices in Q")
-    qmap = QuadraticMap([_parse_matrix(m, n, f"Q[{i}]")
+    qmap = QuadraticMap([_parse_array(m, f"Q[{i}]", (n, n))
                          for i, m in enumerate(qlist)])
 
     wit = doc.get("witness")
@@ -381,7 +393,7 @@ def instance_from_json(doc: dict):
     if not isinstance(wit, dict):
         raise InstanceFormatError("witness must be an object")
     if "X" in wit:
-        X = _sym_array(_parse_matrix(wit["X"], n, "witness X"))
+        X = _sym_array(_parse_array(wit["X"], "witness X", (n, n)))
         # Validate PSD and the unit-sum normalization against the map.
         w, _ = sym_eigen(X)
         if w[0] < -DEFAULTS.psd_check * max(float(np.linalg.norm(X)), 1e-300):
@@ -393,9 +405,10 @@ def instance_from_json(doc: dict):
         return qmap, ("X", X / total)
     if "points" in wit:
         try:
-            pts = [np.asarray(p, dtype=float).reshape(-1) for p in wit["points"]]
-            wts = np.asarray(wit["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            pts = [_parse_array(p, "witness point").reshape(-1)
+                   for p in wit["points"]]
+            wts = _parse_array(wit["weights"], "witness weights")
+        except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"malformed combination witness: {exc}") from exc
         if any(p.size != n for p in pts):
             raise InstanceFormatError("witness points must be n-vectors")

@@ -176,7 +176,7 @@ def _check_hull_consistent(qmap: QuadraticMap, a: SimplexVector,
 
 def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
            sampler: GaussianSampler, m: int | None, budget: int, tol: float,
-           max_iters: int, threads: int, finish) -> RoundingOutcome:
+           threads: int, finish) -> RoundingOutcome:
     """The rounding kernel: ``budget`` batches of m draws (one for m None).
 
     Solves the relaxation, factors A = T^2 and pushes the batches through T
@@ -192,7 +192,7 @@ def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
         raise ValueError("budget must be at least 1")
     _check_preconditioned(qmap)
     _check_hull_consistent(qmap, a, witness)
-    sol = solve(qmap, a, tol=tol, max_iters=max_iters)
+    sol = solve(qmap, a, tol=tol)
     Tt = sqrt_psd(sol.X_star).T
     Qstack, av, tau, n = qmap.Q, a.values, sol.rescale, qmap.n
     log_a = np.log(av)
@@ -248,7 +248,6 @@ def round_rank_one(qmap: QuadraticMap, a: SimplexVector,
                    X_witness: SpectahedronPoint, sampler: GaussianSampler,
                    budget: int = DEFAULTS.rank_one_budget,
                    tol: float = DEFAULTS.fw_gap,
-                   max_iters: int = DEFAULTS.fw_max_iters,
                    threads: int = 1) -> RoundingOutcome:
     """Round to a single image point b = psi(y), y = T x / ||T x||.
 
@@ -261,8 +260,8 @@ def round_rank_one(qmap: QuadraticMap, a: SimplexVector,
         y = tx / np.sqrt(np.einsum("mi,mi->", tx, tx))
         return y, SimplexVector(evaluate(qmap, y[0])), None
 
-    return _round(qmap, a, X_witness, sampler, None, budget, tol, max_iters,
-                  threads, finish)
+    return _round(qmap, a, X_witness, sampler, None, budget, tol, threads,
+                  finish)
 
 
 def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
@@ -270,7 +269,6 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
                  sampler: GaussianSampler,
                  budget: int = DEFAULTS.rank_m_budget,
                  tol: float = DEFAULTS.fw_gap,
-                 max_iters: int = DEFAULTS.fw_max_iters,
                  threads: int = 1) -> RoundingOutcome:
     """Round to a convex combination of at most m image points.
 
@@ -285,30 +283,28 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
     def finish(tx):
         Y = np.einsum("mi,mj->ij", tx, tx) / float(np.einsum("mi,mi->", tx, tx))
         b = SimplexVector(np.einsum("kij,ij->k", qmap.Q, Y))
-        return decompose_rank_m(Y, m)[0], b, Y
+        return decompose_rank_m(Y, m), b, Y
 
-    return _round(qmap, a, X_witness, sampler, m, budget, tol, max_iters,
-                  threads, finish)
+    return _round(qmap, a, X_witness, sampler, m, budget, tol, threads,
+                  finish)
 
 
-def decompose_rank_m(Y: np.ndarray, m: int,
-                     rank_tol: float = DEFAULTS.decompose_rank,
-                     resid_tol: float = DEFAULTS.decompose_residual):
+def decompose_rank_m(Y: np.ndarray, m: int) -> np.ndarray:
     """Split Y of rank <= m into Y = (1/m) sum_j y_j (x) y_j.
 
-    The points are y_j = sqrt(m lambda_j) u_j over the leading eigenpairs
-    (descending), padded with zero vectors up to m; the map sends zero to
-    zero, so b stays a convex combination of at most m image points with
-    the uniform weights 1/m. Y is a symmetric PSD array; its one
-    eigendecomposition here is residual-checked, and the call raises when
-    eigenvalues beyond the m-th exceed rank_tol or the reconstruction
-    residual exceeds resid_tol.
+    Returns the (m, n) array of points y_j = sqrt(m lambda_j) u_j over the
+    leading eigenpairs (descending), padded with zero vectors up to m; the
+    map sends zero to zero, so b stays a convex combination of at most m
+    image points with the uniform weights 1/m. Y is a symmetric PSD array;
+    its one eigendecomposition here is residual-checked, and the call
+    raises when eigenvalues beyond the m-th exceed DEFAULTS.decompose_rank
+    or the reconstruction residual exceeds DEFAULTS.decompose_residual.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     n = Y.shape[0]
     w, V = sym_eigen(Y)
-    if n > m and float(w[: n - m].max()) > rank_tol:
+    if n > m and float(w[: n - m].max()) > DEFAULTS.decompose_rank:
         raise ValueError(
             f"rank exceeds {m}: eigenvalue {w[: n - m].max():.3e} beyond the m-th")
     order = np.argsort(w)[::-1][: min(m, n)]
@@ -317,6 +313,6 @@ def decompose_rank_m(Y: np.ndarray, m: int,
     pts[: order.size] = (V[:, order] * np.sqrt(m * lam)).T
     recon = np.einsum("mi,mj->ij", pts, pts) / m
     resid = float(np.linalg.norm(recon - Y))
-    if resid > resid_tol:
+    if resid > DEFAULTS.decompose_residual:
         raise ValueError(f"reconstruction residual {resid:.3e} out of tolerance")
-    return pts, SimplexVector(np.full(m, 1.0 / m))
+    return pts

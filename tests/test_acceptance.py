@@ -122,8 +122,7 @@ def test_criterion_1_constants():
 
 
 def test_criterion_2_lemma21_mc():
-    rows, _ = suite_lemma21(SEED_LEMMA21, samples=10 ** 6, n_forms=20,
-                            tail_ts=(2.0, 4.0, 6.0, 10.0))
+    rows, _ = suite_lemma21(SEED_LEMMA21, samples=10 ** 6, n_forms=20)
     bad = [r.name for r in rows if not r.satisfied]
     rank1 = next(r for r in rows if r.name == "abs_log_moment[rank1] near 1.76")
     ok = not bad and abs(rank1.value - 1.76) <= 0.02

@@ -212,16 +212,28 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
     bad.write_bytes(b'{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\xff"}')
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
-    # malformed headers and entries: overflowing n or k, a ragged form, a
-    # string entry in a form or in the witness
+    # malformed headers and entries: overflowing, fractional or boolean n or
+    # k, a ragged form, a null, string, numeric-string or overflowing entry
+    # in a form, a string entry in the witness X, points or weights; with
+    # --witness-random so that only the malformation can fail the command
     for text in ('{"n": 1e400, "k": 1, "Q": [[[1.0]]]}',
                  '{"n": 1, "k": 1e400, "Q": [[[1.0]]]}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0]]]}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, "x"], [0.0, 1.0]]]}',
-                 '{"n": 1, "k": 1, "Q": [[[1.0]]], "witness": {"X": [["x"]]}}'):
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], "witness": {"X": [["x"]]}}',
+                 '{"n": 1, "k": 1, "Q": [[[null]]]}',
+                 '{"n": 1, "k": 1, "Q": [[["2.5"]]]}',
+                 '{"n": 1, "k": 1, "Q": [[[1e400]]]}',
+                 '{"n": 1.9, "k": 1, "Q": [[[1.0]]]}',
+                 '{"n": true, "k": 1, "Q": [[[1.0]]]}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], "witness": {"X": [["1.0"]]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [["1.0"]], "weights": [1.0]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0]], "weights": ["1.0"]}}'):
         bad.write_text(text)
-        assert run_cli("--quiet", "round", str(bad), "--rank-one",
-                       "--seed", "1") == 2, text
+        assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed",
+                       "1", "--witness-random", "--budget", "5") == 2, text
 
     notpd = tmp_path / "notpd.json"
     notpd.write_text(json.dumps(

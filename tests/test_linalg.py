@@ -39,9 +39,6 @@ def test_sym_eigen_examples():
     assert np.allclose(np.abs(v[:, 0]), [1 / math.sqrt(2)] * 2, atol=1e-12)
     assert np.allclose(np.abs(v[:, 1]), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
-    with pytest.raises(ValueError):
-        sym_eigen(np.eye(2), tol=0.0)
-
 
 def test_sym_eigen_reconstructs_random():
     sampler = GaussianSampler(12)

@@ -338,13 +338,12 @@ def test_round_matches_explicit_reference(m, budget):
 
 def test_decompose_rank_m_examples():
     u = np.array([0.6, 0.0, 0.8])
-    pts, weights = decompose_rank_m(np.outer(u, u), 2)
+    pts = decompose_rank_m(np.outer(u, u), 2)
     assert pts.shape == (2, 3)
     assert np.allclose(np.abs(pts[0]), math.sqrt(2.0) * np.abs(u), atol=1e-12)
     assert np.allclose(pts[1], 0.0)
-    assert np.allclose(weights.values, [0.5, 0.5])
 
-    pts, _ = decompose_rank_m(np.eye(2) / 2, 2)
+    pts = decompose_rank_m(np.eye(2) / 2, 2)
     # eigenvalues 1/2 each, sqrt(2 * 1/2) = 1: the standard basis up to
     # order and sign
     assert np.allclose(sorted(np.abs(pts).tolist()), [[0.0, 1.0], [1.0, 0.0]],
@@ -356,7 +355,7 @@ def test_decompose_rank_m_random_reconstruction():
     G = sampler.normals((6, 3))          # rank-3 PSD
     Y = G @ G.T
     Y = Y / np.trace(Y)
-    pts, _ = decompose_rank_m(Y, 4)
+    pts = decompose_rank_m(Y, 4)
     recon = np.einsum("mi,mj->ij", pts, pts) / 4
     assert np.linalg.norm(recon - Y) <= 1e-8
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 
 from quadround import (DiagonalForm, GaussianSampler, QuadraticMap,
                        SandwichViolation, SimplexVector, check_sandwich,
-                       extremality_probe, mc_abs_log_moment,
-                       mc_rank_m_abs_log, mc_tail, phi, sphere_max_oracle)
+                       mc_abs_log_moment, mc_rank_m_abs_log, mc_tail, phi,
+                       sphere_max_oracle)
 import quadround.verify as verify_mod
 from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
                               suite_lemma21, suite_lemma51, suite_sandwich,
@@ -193,22 +193,6 @@ def test_mc_suites_threads_bit_identical_across_blocks(monkeypatch):
         return [(r.name, r.value, r.satisfied) for r in r21 + r51]
 
     assert rows(1) == rows(3)
-
-
-def test_extremality_probe():
-    rep = extremality_probe(4, trials=3, samples=5000, sampler=GaussianSampler(11))
-    assert abs(rep.reference.mean - 1.76) <= 0.15
-    assert rep.worst is not None and rep.worst_lambda is not None
-    assert len(rep.trials) == 3
-    # random mixed spectra sit below the rank-one reference
-    assert not rep.exceeds_reference
-
-
-def test_extremality_uniform_well_below():
-    rep = extremality_probe(100, trials=1, samples=4000,
-                            sampler=GaussianSampler(12))
-    # with n = 100 a random simplex spectrum is already well spread
-    assert rep.worst.mean < 1.0
 
 
 def test_suite_constants():

@@ -9,7 +9,8 @@ Subcommands
     report  aggregate result files into a fixed-column CSV
 
 Exit codes: 0 ok, 2 parse/usage error, 3 invalid instance (forms fail the
-positive definiteness gate) or another numerical failure, 4 rounding budget
+positive definiteness gate) or another numerical failure, including a
+breached internal invariant, 4 rounding budget
 exhausted without an accepted draw, 5 a verification suite found a violated
 bound. The global flags --threads and --quiet go before or after the
 subcommand.
@@ -33,13 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from ._util import canonical_json, sha256_file, sha256_hex
-from .bounds import BETA_RANK_ONE, rank_m_beta
 from .config import DEFAULTS
 from .instances import random_map, random_witness
 from .linalg import LinalgError, NotPositiveDefinite
 from .quadmap import (InstanceFormatError, QuadraticMap,
-                      hull_point_from_combination, hull_point_from_witness,
-                      instance_to_json, load_instance, precondition)
+                      hull_point_from_combination, instance_to_json,
+                      load_instance, precondition)
 from .rounding import GaussianSampler, round_rank_m, round_rank_one
 from .verify import MIN_SAMPLES, SUITES
 
@@ -98,22 +98,19 @@ def run_round(qmap: QuadraticMap, witness_spec, seed: int, budget: int,
     prec = precondition(qmap)
     if witness_spec[0] == "X":
         X_hat = prec.push_witness(witness_spec[1])
-        a = hull_point_from_witness(prec.hat, X_hat)
     else:
         _tag, pts, weights = witness_spec
         pushed = [prec.push_point(p) for p in pts]
-        a, X_hat = hull_point_from_combination(prec.hat, pushed, weights)
+        _a, X_hat = hull_point_from_combination(prec.hat, pushed, weights)
     t_setup = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if m is None:
-        outcome = round_rank_one(prec.hat, a, X_hat, sampler,
+        outcome = round_rank_one(prec, X_hat, sampler,
                                  budget=budget, tol=tol, threads=threads)
-        bound = BETA_RANK_ONE
     else:
-        outcome = round_rank_m(prec.hat, a, X_hat, m, sampler,
+        outcome = round_rank_m(prec, X_hat, m, sampler,
                                budget=budget, tol=tol, threads=threads)
-        bound = rank_m_beta(m)
     t_round = time.perf_counter() - t0
 
     # Certificate points mapped back to the original coordinates; the map
@@ -124,10 +121,10 @@ def run_round(qmap: QuadraticMap, witness_spec, seed: int, budget: int,
         "n": qmap.n,
         "k": qmap.k,
         "m": m,
-        "a": a.values.tolist(),
+        "a": outcome.a.values.tolist(),
         "b": outcome.b.values.tolist(),
         "kl": outcome.kl,
-        "bound": bound,
+        "bound": outcome.bound,
         "fw_gap": outcome.sdp.fw_gap,
         "sdp_value": outcome.sdp.value,
         "sdp_iterations": outcome.sdp.iterations,
@@ -368,7 +365,10 @@ def main(argv=None) -> int:
     except NotPositiveDefinite as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
-    except LinalgError as exc:
+    except (LinalgError, AssertionError, ArithmeticError) as exc:
+        # a factorization missing its tolerance, or a breached internal
+        # invariant (nonpositive <Q_i, X>, a decreasing objective, a
+        # negative KL, a degenerate draw)
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except ValueError as exc:

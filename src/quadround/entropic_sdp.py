@@ -122,7 +122,7 @@ def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
     2 <G, X> = 2. Returns a feasible X whose objective is at least the
     input's.
     """
-    w, V = np.linalg.eigh(X)
+    w, V = _eigh_checked(X)
     Y = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     nrm = float(np.linalg.norm(Y))
     if nrm == 0.0:
@@ -199,7 +199,6 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
         d = np.einsum("kij,i,j->k", Qstack, v, v)
         gamma = _line_search(al, c, d)
         X = (1.0 - gamma) * X + gamma * np.outer(v, v)
-        X = 0.5 * (X + X.T)
         X = _sphere_polish(qmap, alpha, X)
 
     return SdpSolution(

@@ -9,8 +9,9 @@ at T x equals the old map at x.
 A point a of the convex hull of the image, scaled so its coordinates sum
 to 1, is always carried together with a witness: a PSD matrix X with
 a_i = <Q_i, X>. For a preconditioned map trace(X) = sum_i a_i = 1, so the
-witness lives on the spectahedron. The rounding procedures consume the
-witness, not just a, so the certificate is an explicit input here.
+witness lives on the spectahedron. The rounding procedures take the
+witness alone and derive a from it, so a and its certificate never
+disagree.
 
 Distances between hull points and image points are measured by relative
 entropy D(a||b) = sum_i a_i ln(a_i / b_i), natural logarithm throughout.
@@ -380,8 +381,9 @@ def instance_from_json(doc: dict):
         n, k, qlist = doc["n"], doc["k"], doc["Q"]
     except KeyError as exc:
         raise InstanceFormatError(f"missing field: {exc}") from exc
-    if type(n) is not int or type(k) is not int:
-        raise InstanceFormatError(f"n and k must be integers, got {n!r} and {k!r}")
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise InstanceFormatError(
+            f"n and k must be positive integers, got {n!r} and {k!r}")
     if not isinstance(qlist, list) or len(qlist) != k:
         raise InstanceFormatError(f"expected {k} matrices in Q")
     qmap = QuadraticMap([_parse_array(m, f"Q[{i}]", (n, n))
@@ -418,6 +420,9 @@ def instance_from_json(doc: dict):
             weights = SimplexVector(wts)
         except ValueError as exc:
             raise InstanceFormatError(f"witness weights: {exc}") from exc
+        if sum(w * float(p @ p) for w, p in zip(weights.values, pts)) == 0.0:
+            raise InstanceFormatError(
+                "witness points with positive weight are all zero")
         return qmap, ("points", pts, weights)
     raise InstanceFormatError("witness must contain either X or points/weights")
 

@@ -1,10 +1,11 @@
 """Randomized rounding of relaxation solutions to actual image points.
 
-Given a preconditioned map (forms summing to I), a hull point a with
-spectahedron witness X, the pipeline solves the entropic relaxation with
-weights a, factors the solution A = T^2, and pushes batches of standard
-Gaussian vectors through T. One kernel does this for both modes; rank-one
-is the batch of a single draw:
+Given a preconditioned map (forms summing to I) and a spectahedron
+witness X, which fixes the hull point a_i = <Q_i, X>, the pipeline
+computes a once, solves the entropic relaxation with weights a, factors
+the solution A = T^2, and pushes batches of standard Gaussian vectors
+through T. One kernel does this for both modes; rank-one is the batch of
+a single draw:
 
   rank-one:  y = T x / ||T x||          gives b = psi(y), an exact image
              point with sum_i b_i = 1;
@@ -27,7 +28,9 @@ draw), flagging accepted=False if no draw fired.
 All randomness flows through a counter-based generator (Philox) so that a
 fixed seed reproduces outcomes bit for bit; batches are partitioned into
 fixed-size blocks, one RNG substream per block, so multithreaded evaluation
-returns the identical result (minimum KL, lowest index wins ties).
+returns the identical result (minimum KL, lowest index wins ties). The
+outcome carries a and the distance bound it is certified against, so it
+is a certificate on its own.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import map_indexed
-from .bounds import LOG_SCORE_CUTOFF, TAIL_THRESHOLD
+from .bounds import (BETA_RANK_ONE, LOG_SCORE_CUTOFF, TAIL_THRESHOLD,
+                     rank_m_beta)
 from .config import DEFAULTS
 from .entropic_sdp import SdpSolution, solve
 from .linalg import sqrt_psd, sym_eigen
-from .quadmap import (QuadraticMap, SimplexVector, SpectahedronPoint,
+from .quadmap import (PreconditionedMap, SimplexVector, SpectahedronPoint,
                       evaluate, evaluate_batch, hull_point_from_witness,
                       kl_divergence)
 
@@ -116,18 +120,22 @@ class GaussianSampler:
 class RoundingOutcome:
     """Rounded point(s) with the full self-contained certificate.
 
-    points holds the certificate vectors (one for rank-one, m rows with
-    equal weights 1/m for rank-m; zero rows pad when the witness has lower
-    rank). b is reproduced exactly by evaluating the map at the points
-    (averaged for rank-m), kl equals the recomputed divergence from a, and
-    witness_Y carries the spectahedron witness Y (an array) in the rank-m
-    case. sdp is the relaxation solution the rounding was built on; its gap
-    widens the certified distance bound. samples_drawn counts every
+    a is the hull point the input witness fixes and bound the certified
+    distance (4.8 for rank-one, 15/sqrt(m) for rank-m), to which the solver
+    gap is added. points holds the certificate vectors (one for rank-one, m
+    rows with equal weights 1/m for rank-m; zero rows pad when the witness
+    has lower rank). b is reproduced exactly by evaluating the map at the
+    points (averaged for rank-m), kl equals the recomputed divergence from
+    a, and witness_Y carries the spectahedron witness Y (an array) in the
+    rank-m case. sdp is the relaxation solution the rounding was built on;
+    its gap widens the certified distance bound. samples_drawn counts every
     Gaussian vector consumed, including the measure-zero redraws of
     exactly-zero pushes; accepted_count / draws is the empirical acceptance
     rate (draws counts single vectors for rank-one and batches for rank-m).
     """
 
+    a: SimplexVector
+    bound: float
     points: np.ndarray
     b: SimplexVector
     kl: float
@@ -158,30 +166,15 @@ def acceptance(sq_norm_mean, log_score, m: int | None = None):
     return (sq_norm_mean <= cap) & (log_score >= floor)
 
 
-def _check_preconditioned(qmap: QuadraticMap):
-    resid = float(np.linalg.norm(qmap.Q.sum(axis=0) - np.eye(qmap.n)))
-    if resid > DEFAULTS.precondition_residual * 10.0:
-        raise ValueError(
-            f"map is not preconditioned (sum of forms is {resid:.3e} from I)")
-
-
-def _check_hull_consistent(qmap: QuadraticMap, a: SimplexVector,
-                           witness: SpectahedronPoint):
-    recomputed = hull_point_from_witness(qmap, witness)
-    err = float(np.abs(recomputed.values - a.values).max())
-    if err > DEFAULTS.hull_sum:
-        raise ValueError(
-            f"hull point disagrees with its witness by {err:.3e}")
-
-
-def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
+def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
            sampler: GaussianSampler, m: int | None, budget: int, tol: float,
            threads: int, finish) -> RoundingOutcome:
     """The rounding kernel: ``budget`` batches of m draws (one for m None).
 
-    Solves the relaxation, factors A = T^2 and pushes the batches through T
-    in fixed blocks, one substream per block, redrawing any batch whose
-    pushes are all zero. Each block is evaluated once; b of a batch is
+    Computes a from the witness (the one place it is computed), solves the
+    relaxation, factors A = T^2 and pushes the batches through T in fixed
+    blocks, one substream per block, redrawing any batch whose pushes are
+    all zero. Each block is evaluated once; b of a batch is
     sum_j q(T x_j) / sum_j ||T x_j||^2 by homogeneity. The minimum-KL batch
     (lowest index wins ties) goes to ``finish``, which maps its pushes, an
     (m, n) array, to (points, b, witness_Y) of the outcome.
@@ -190,8 +183,8 @@ def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
         raise ValueError("m must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    _check_preconditioned(qmap)
-    _check_hull_consistent(qmap, a, witness)
+    qmap = prec.hat
+    a = hull_point_from_witness(qmap, witness)
     sol = solve(qmap, a, tol=tol)
     Tt = sqrt_psd(sol.X_star).T
     Qstack, av, tau, n = qmap.Q, a.values, sol.rescale, qmap.n
@@ -231,6 +224,8 @@ def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
             best_kl, best_tx = kl_b, tx_b
     points, b, witness_Y = finish(best_tx)
     return RoundingOutcome(
+        a=a,
+        bound=BETA_RANK_ONE if m is None else rank_m_beta(m),
         points=points,
         b=b,
         kl=kl_divergence(a, b),
@@ -244,29 +239,29 @@ def _round(qmap: QuadraticMap, a: SimplexVector, witness: SpectahedronPoint,
     )
 
 
-def round_rank_one(qmap: QuadraticMap, a: SimplexVector,
-                   X_witness: SpectahedronPoint, sampler: GaussianSampler,
+def round_rank_one(prec: PreconditionedMap, X_witness: SpectahedronPoint,
+                   sampler: GaussianSampler,
                    budget: int = DEFAULTS.rank_one_budget,
                    tol: float = DEFAULTS.fw_gap,
                    threads: int = 1) -> RoundingOutcome:
     """Round to a single image point b = psi(y), y = T x / ||T x||.
 
-    Draws ``budget`` Gaussians and returns the minimum-KL draw. If any draw
-    passes the acceptance predicate (probability at least 0.01 each), the
-    result satisfies D(a||b) <= 3 + ln 6 + fw_gap < 4.8 + fw_gap; otherwise
-    the best-effort outcome is returned with accepted=False.
+    The hull point is a_i = <Q_i, X_witness> on the preconditioned forms
+    ``prec.hat``. Draws ``budget`` Gaussians and returns the minimum-KL
+    draw. If any draw passes the acceptance predicate (probability at least
+    0.01 each), the result satisfies D(a||b) <= 3 + ln 6 + fw_gap
+    < 4.8 + fw_gap; otherwise the best-effort outcome is returned with
+    accepted=False.
     """
     def finish(tx):
         y = tx / np.sqrt(np.einsum("mi,mi->", tx, tx))
-        return y, SimplexVector(evaluate(qmap, y[0])), None
+        return y, SimplexVector(evaluate(prec.hat, y[0])), None
 
-    return _round(qmap, a, X_witness, sampler, None, budget, tol, threads,
-                  finish)
+    return _round(prec, X_witness, sampler, None, budget, tol, threads, finish)
 
 
-def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
-                 X_witness: SpectahedronPoint, m: int,
-                 sampler: GaussianSampler,
+def round_rank_m(prec: PreconditionedMap, X_witness: SpectahedronPoint,
+                 m: int, sampler: GaussianSampler,
                  budget: int = DEFAULTS.rank_m_budget,
                  tol: float = DEFAULTS.fw_gap,
                  threads: int = 1) -> RoundingOutcome:
@@ -282,11 +277,10 @@ def round_rank_m(qmap: QuadraticMap, a: SimplexVector,
     """
     def finish(tx):
         Y = np.einsum("mi,mj->ij", tx, tx) / float(np.einsum("mi,mi->", tx, tx))
-        b = SimplexVector(np.einsum("kij,ij->k", qmap.Q, Y))
+        b = SimplexVector(np.einsum("kij,ij->k", prec.hat.Q, Y))
         return decompose_rank_m(Y, m), b, Y
 
-    return _round(qmap, a, X_witness, sampler, m, budget, tol, threads,
-                  finish)
+    return _round(prec, X_witness, sampler, m, budget, tol, threads, finish)
 
 
 def decompose_rank_m(Y: np.ndarray, m: int) -> np.ndarray:

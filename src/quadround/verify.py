@@ -74,10 +74,6 @@ class SandwichReport:
     upper_ok: bool
 
 
-class SandwichViolation(AssertionError):
-    """A sandwich inequality failed; the message carries the instance dump."""
-
-
 def _simplex_from(sampler: GaussianSampler, k: int) -> SimplexVector:
     """A random interior point of the simplex (normalized squared normals)."""
     z = sampler.normals((k,)) ** 2 + 1e-12
@@ -155,33 +151,18 @@ def check_sandwich(qmap: QuadraticMap, alpha: SimplexVector,
     sdp_value <= sphere_value + 4.8 + fw_gap. The
     oracle only lower-bounds the true sphere maximum, which suffices: if the
     relaxation is within 4.8 of the lower bound it is certainly within 4.8
-    of the maximum. Raises SandwichViolation with a full instance dump on
-    failure.
+    of the maximum. The report carries the verdict of each inequality.
     """
     sol = solve(qmap, alpha)
     s = sphere_max_oracle(qmap, alpha, 24, sampler)
-    lower_ok = s <= sol.value + sol.fw_gap + 1e-6
-    upper_ok = sol.value <= s + 4.8 + sol.fw_gap
-    report = SandwichReport(
+    return SandwichReport(
         sphere_value=s,
         sdp_value=sol.value,
         fw_gap=sol.fw_gap,
         excess=sol.value - s,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
+        lower_ok=s <= sol.value + sol.fw_gap + 1e-6,
+        upper_ok=sol.value <= s + 4.8 + sol.fw_gap,
     )
-    if not (lower_ok and upper_ok):
-        from .quadmap import instance_to_json
-        from ._util import canonical_json
-        dump = canonical_json({
-            "instance": instance_to_json(qmap),
-            "alpha": alpha.values.tolist(),
-            "sphere_value": s,
-            "sdp_value": sol.value,
-            "fw_gap": sol.fw_gap,
-        })
-        raise SandwichViolation(f"sandwich inequality failed: {dump}")
-    return report
 
 
 def abs_log(q: np.ndarray) -> np.ndarray:
@@ -364,16 +345,11 @@ def suite_sandwich(seed: int, count: int = 100, threads: int = 1):
         sampler = _derived_sampler(seed, j)
         qmap = random_map(sampler, n, k, 100.0)
         alpha = _simplex_from(sampler.substream(k + 1), k)
-        try:
-            rep = check_sandwich(qmap, alpha, sampler)
-            ok = True
-            excess = rep.excess
-        except SandwichViolation:
-            ok = False
-            excess = math.nan
-        max_excess = max(max_excess, excess) if ok else max_excess
+        rep = check_sandwich(qmap, alpha, sampler)
+        max_excess = max(max_excess, rep.excess)
         rows.append(BoundReport(
-            f"sandwich[{j:03d}, n={n}, k={k}]", excess, 4.8, ok, "<="))
+            f"sandwich[{j:03d}, n={n}, k={k}]", rep.excess, 4.8,
+            rep.lower_ok and rep.upper_ok, "<="))
     return rows, {"max_excess": max_excess}
 
 

@@ -12,6 +12,9 @@ from quadround import (QuadraticMap, SimplexVector, kl_divergence,
 from quadround.bounds import BoundReport
 from quadround.cli import main, result_digest
 from quadround.linalg import LinalgError, NotPositiveDefinite
+import quadround.bounds as bounds_mod
+import quadround.cli as cli_mod
+import quadround.entropic_sdp as sdp_mod
 import quadround.rounding as rounding_mod
 import quadround.verify as verify_mod
 
@@ -107,6 +110,31 @@ def test_round_rank_m_and_report(tmp_path):
     assert lines[2].split(",")[2] == "16"
     margin = float(lines[1].split(",")[5])
     assert margin > 0
+
+
+@pytest.mark.parametrize("mode", [["--rank-one"], ["--rank-m", "4"]])
+def test_round_points_witness(tmp_path, mode):
+    # A witness given as a weighted set of points x_t fixes the hull point
+    # a = sum_t w_t q(x_t) / sum_t w_t sum_i q_i(x_t) on the original map.
+    Q = [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]],
+         [[1.0, 0.5], [0.5, 1.0]]]
+    pts, w = np.array([[1.0, 0.0], [0.3, -2.0]]), np.array([0.25, 0.75])
+    inst = tmp_path / "points.json"
+    inst.write_text(json.dumps({"n": 2, "k": 3, "Q": Q, "witness": {
+        "points": pts.tolist(), "weights": w.tolist()}}))
+    res = tmp_path / "res.json"
+    assert run_cli("--quiet", "round", str(inst), *mode, "--budget", "50",
+                   "--seed", "3", "--out", str(res)) == 0
+    doc = json.loads(res.read_text())
+    vals = np.einsum("t,kij,ti,tj->k", w, np.array(Q), pts, pts)
+    assert np.allclose(doc["a"], vals / vals.sum(), rtol=0, atol=1e-12)
+    # the certificate points reproduce b on the original map
+    cert = np.asarray(doc["points"])
+    b = np.einsum("t,kij,ti,tj->k", doc["weights"], np.array(Q), cert, cert)
+    assert np.allclose(b, doc["b"], rtol=0, atol=1e-9)
+    assert doc["kl"] == pytest.approx(
+        kl_divergence(SimplexVector(doc["a"]), SimplexVector(doc["b"])),
+        rel=1e-12, abs=1e-15)
 
 
 def test_round_kl_reverifies_on_reload(tmp_path):
@@ -213,9 +241,11 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
     bad.write_bytes(b'{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\xff"}')
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
     # malformed headers and entries: overflowing, fractional or boolean n or
-    # k, a ragged form, a null, string, numeric-string or overflowing entry
-    # in a form, a string entry in the witness X, points or weights; with
-    # --witness-random so that only the malformation can fail the command
+    # k, no forms, a ragged form, a null, string, numeric-string or
+    # overflowing entry in a form, a string entry in the witness X, points or
+    # weights, witness points that are zero wherever their weight is not;
+    # with --witness-random so that only the malformation can fail the
+    # command
     for text in ('{"n": 1e400, "k": 1, "Q": [[[1.0]]]}',
                  '{"n": 1, "k": 1e400, "Q": [[[1.0]]]}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0]]]}',
@@ -230,7 +260,13 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
                  '"witness": {"points": [["1.0"]], "weights": [1.0]}}',
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
-                 '"witness": {"points": [[1.0]], "weights": ["1.0"]}}'):
+                 '"witness": {"points": [[1.0]], "weights": ["1.0"]}}',
+                 '{"n": 1, "k": 0, "Q": []}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[0.0]], "weights": [1.0]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0], [0.0]], '
+                 '"weights": [0.0, 1.0]}}'):
         bad.write_text(text)
         assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed",
                        "1", "--witness-random", "--budget", "5") == 2, text
@@ -341,18 +377,36 @@ def test_round_quiet_after_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("module, attr, exc", [
+    (rounding_mod, "sqrt_psd", LinalgError("sqrt residual out of tolerance")),
+    (sdp_mod, "_inner_values", AssertionError("some <Q_i, X> <= 0")),
+    (rounding_mod, "kl_divergence", AssertionError("KL came out -1e-03")),
+    (cli_mod, "random_witness", ArithmeticError("degenerate Wishart draw")),
+    # a quadrature error estimate above DEFAULTS.quad_abs
+    (bounds_mod, "quad", None),
+], ids=["LinalgError", "AssertionError-inner-values", "AssertionError-kl",
+        "ArithmeticError-witness", "ArithmeticError-quadrature"])
+def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys, module, attr,
+                                 exc):
+    # A factorization that misses its tolerance and a breached internal
+    # invariant both end in an error line and exit 3, never a traceback.
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "1",
-            "--witness-random", "--out", str(inst))
+            "--out", str(inst))
 
-    def failing_sqrt(*args, **kwargs):
-        raise LinalgError("sqrt residual 1e+00 out of tolerance")
-    monkeypatch.setattr(rounding_mod, "sqrt_psd", failing_sqrt)
-    assert run_cli("--quiet", "round", str(inst), "--rank-one",
-                   "--seed", "1") == 3
+    def failing(*args, **kwargs):
+        if exc is None:
+            return 1.0, 1.0
+        raise exc
+    monkeypatch.setattr(module, attr, failing)
+    argv = (["verify", "--suite", "constants", "--seed", "1"]
+            if module is bounds_mod else
+            ["round", str(inst), "--rank-one", "--seed", "1",
+             "--witness-random"])
+    assert run_cli("--quiet", *argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error: numerical failure:")
+    assert "Traceback" not in err
 
 
 def test_report_empty_after_filter_and_malformed(tmp_path, capsys):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
-                       SpectahedronPoint, acceptance, decompose_rank_m,
-                       evaluate, hull_point_from_combination,
+from quadround import (GaussianSampler, PreconditionedMap, QuadraticMap,
+                       SimplexVector, SpectahedronPoint, acceptance,
+                       decompose_rank_m, evaluate, hull_point_from_combination,
                        hull_point_from_witness, kl_divergence,
                        pinsker_lower_bound, precondition, round_rank_m,
                        round_rank_one, solve, sqrt_psd)
@@ -109,37 +109,44 @@ def test_accept_rank_one_rate_floor():
 
 # --- rank-one rounding --------------------------------------------------
 
+def _identity_preconditioned(k, n):
+    """Forms I/k, which already sum to I, with T = I."""
+    return PreconditionedMap(QuadraticMap([np.eye(n) / k] * k),
+                             np.eye(n), np.eye(n))
+
+
 def test_round_rank_one_uniform_forms_zero_kl():
     k, n = 3, 4
-    qmap = QuadraticMap([np.eye(n) / k] * k)
+    prec = _identity_preconditioned(k, n)
     X = SpectahedronPoint(np.eye(n) / n)
-    a = hull_point_from_witness(qmap, X)
-    out = round_rank_one(qmap, a, X, GaussianSampler(5), budget=20)
+    out = round_rank_one(prec, X, GaussianSampler(5), budget=20)
     assert out.kl == 0.0
     assert out.accepted
-    assert np.allclose(out.b.values, a.values)
+    a = hull_point_from_witness(prec.hat, X)
+    assert np.array_equal(out.a.values, a.values)
+    assert out.bound == 4.8
+    assert np.allclose(out.b.values, out.a.values)
 
 
 def test_round_rank_one_single_form_zero_kl():
-    qmap = precondition(make_map(61, 3, 1)).hat
+    prec = precondition(make_map(61, 3, 1))
     X = SpectahedronPoint(np.eye(3) / 3)
-    a = hull_point_from_witness(qmap, X)   # a = (1,)
-    out = round_rank_one(qmap, a, X, GaussianSampler(6), budget=10)
-    assert a.values[0] == 1.0
+    out = round_rank_one(prec, X, GaussianSampler(6), budget=10)
+    assert out.a.values[0] == 1.0
     assert out.kl <= 1e-12
 
 
 def test_round_rank_one_certificate_and_determinism():
     prec, Xh = make_preconditioned(71, 5, 4)
     a = hull_point_from_witness(prec.hat, Xh)
-    out1 = round_rank_one(prec.hat, a, Xh, GaussianSampler(72), budget=300)
-    out2 = round_rank_one(prec.hat, a, Xh, GaussianSampler(72), budget=300)
+    out1 = round_rank_one(prec, Xh, GaussianSampler(72), budget=300)
+    out2 = round_rank_one(prec, Xh, GaussianSampler(72), budget=300)
     # bit-identical outcome for identical (instance, seed, budget)
     assert out1.kl == out2.kl
     assert np.array_equal(out1.points, out2.points)
     assert out1.accepted_count == out2.accepted_count
     # and identical when evaluated on two worker threads
-    out3 = round_rank_one(prec.hat, a, Xh, GaussianSampler(72), budget=300,
+    out3 = round_rank_one(prec, Xh, GaussianSampler(72), budget=300,
                           threads=2)
     assert out3.kl == out1.kl and np.array_equal(out3.points, out1.points)
 
@@ -148,6 +155,7 @@ def test_round_rank_one_certificate_and_determinism():
     assert np.array_equal(SimplexVector(evaluate(prec.hat, y)).values,
                           out1.b.values)
     assert abs(float(evaluate(prec.hat, y).sum()) - 1.0) <= 1e-9
+    assert np.array_equal(out1.a.values, a.values)
     assert out1.kl == kl_divergence(a, out1.b)
     assert np.all(out1.b.values > 0)
     assert abs(float(np.linalg.norm(y)) - 1.0) <= 1e-9
@@ -165,7 +173,7 @@ def test_round_rank_one_budget_exhausted_flag():
     from quadround.instances import random_witness
     Xh = prec.push_witness(random_witness(GaussianSampler(43), qmap))
     a = hull_point_from_witness(prec.hat, Xh)
-    out = round_rank_one(prec.hat, a, Xh, GaussianSampler(248), budget=1)
+    out = round_rank_one(prec, Xh, GaussianSampler(248), budget=1)
     assert not out.accepted
     assert out.accepted_count == 0
     # the outcome is still a valid image point with a true KL value
@@ -175,34 +183,28 @@ def test_round_rank_one_budget_exhausted_flag():
 
 def test_round_rank_one_rejects_bad_inputs():
     prec, Xh = make_preconditioned(81, 3, 2)
-    a = hull_point_from_witness(prec.hat, Xh)
     with pytest.raises(ValueError):
-        round_rank_one(prec.hat, a, Xh, GaussianSampler(1), budget=0)
+        round_rank_one(prec, Xh, GaussianSampler(1), budget=0)
     with pytest.raises(ValueError):
-        # a raw (unnormalized) map fails the preconditioning gate
-        round_rank_one(make_map(81, 3, 2), a, Xh, GaussianSampler(1), budget=10)
-    with pytest.raises(ValueError):
-        # witness inconsistent with the hull point
-        other = SpectahedronPoint(np.eye(3) / 3)
-        round_rank_one(prec.hat, a, other, GaussianSampler(1), budget=10)
+        # a raw (unnormalized) map cannot pose as a preconditioned one: the
+        # constructor is the one check that the forms sum to I
+        PreconditionedMap(make_map(81, 3, 2), np.eye(3), np.eye(3))
 
 
 # --- rank-m rounding ----------------------------------------------------
 
 def test_round_rank_m_uniform_forms_zero_kl():
     k, n = 3, 4
-    qmap = QuadraticMap([np.eye(n) / k] * k)
     X = SpectahedronPoint(np.eye(n) / n)
-    a = hull_point_from_witness(qmap, X)
-    out = round_rank_m(qmap, a, X, 5, GaussianSampler(7), budget=10)
+    out = round_rank_m(_identity_preconditioned(k, n), X, 5,
+                       GaussianSampler(7), budget=10)
     assert out.kl <= 1e-14
     assert out.accepted
 
 
 def test_round_rank_m_m1_is_rank_one_point():
     prec, Xh = make_preconditioned(91, 4, 3)
-    a = hull_point_from_witness(prec.hat, Xh)
-    out = round_rank_m(prec.hat, a, Xh, 1, GaussianSampler(92), budget=50)
+    out = round_rank_m(prec, Xh, 1, GaussianSampler(92), budget=50)
     # Y = y (x) y for a unit vector y
     assert np.array_equal(out.witness_Y, out.witness_Y.T)
     w = np.linalg.eigvalsh(out.witness_Y)
@@ -216,7 +218,8 @@ def test_round_rank_m_invariants():
     prec, Xh = make_preconditioned(93, 5, 4)
     a = hull_point_from_witness(prec.hat, Xh)
     for m in (2, 4, 16):
-        out = round_rank_m(prec.hat, a, Xh, m, GaussianSampler(94), budget=60)
+        out = round_rank_m(prec, Xh, m, GaussianSampler(94), budget=60)
+        assert out.bound == 15.0 / math.sqrt(m)
         assert abs(float(out.b.values.sum()) - 1.0) <= 1e-9
         assert np.all(out.b.values > 0)
         assert out.kl <= 15.0 / math.sqrt(m) + out.sdp.fw_gap
@@ -228,9 +231,8 @@ def test_round_rank_m_invariants():
         assert np.allclose(a2.values, out.b.values, atol=1e-8)
         assert out.kl == kl_divergence(a, out.b)
     # determinism across thread counts
-    o1 = round_rank_m(prec.hat, a, Xh, 4, GaussianSampler(95), budget=40)
-    o2 = round_rank_m(prec.hat, a, Xh, 4, GaussianSampler(95), budget=40,
-                      threads=3)
+    o1 = round_rank_m(prec, Xh, 4, GaussianSampler(95), budget=40)
+    o2 = round_rank_m(prec, Xh, 4, GaussianSampler(95), budget=40, threads=3)
     assert o1.kl == o2.kl and np.array_equal(o1.points, o2.points)
 
 
@@ -239,16 +241,14 @@ def test_round_rank_m_batch_rejection_flag():
     prec = precondition(qmap)
     from quadround.instances import random_witness
     Xh = prec.push_witness(random_witness(GaussianSampler(43), qmap))
-    a = hull_point_from_witness(prec.hat, Xh)
-    out = round_rank_m(prec.hat, a, Xh, 1, GaussianSampler(108), budget=1)
+    out = round_rank_m(prec, Xh, 1, GaussianSampler(108), budget=1)
     assert not out.accepted
 
 
 def test_round_rank_m_acceptance_rate_floor():
     prec, Xh = make_preconditioned(96, 4, 4)
-    a = hull_point_from_witness(prec.hat, Xh)
     budget = 400
-    out = round_rank_m(prec.hat, a, Xh, 4, GaussianSampler(97), budget=budget)
+    out = round_rank_m(prec, Xh, 4, GaussianSampler(97), budget=budget)
     rate = out.accepted_count / out.draws
     stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / budget)
     assert rate >= 0.17 - 3.0 * stderr
@@ -256,13 +256,11 @@ def test_round_rank_m_acceptance_rate_floor():
 
 # --- the shared kernel --------------------------------------------------
 
-def _round_mode(qmap, a, X, m, seed, budget, threads=1):
+def _round_mode(prec, X, m, seed, budget, threads=1):
     sampler = GaussianSampler(seed)
     if m is None:
-        return round_rank_one(qmap, a, X, sampler, budget=budget,
-                              threads=threads)
-    return round_rank_m(qmap, a, X, m, sampler, budget=budget,
-                        threads=threads)
+        return round_rank_one(prec, X, sampler, budget=budget, threads=threads)
+    return round_rank_m(prec, X, m, sampler, budget=budget, threads=threads)
 
 
 @pytest.mark.parametrize("m, budget", [(None, 300), (4, 70)])
@@ -285,7 +283,7 @@ def test_round_redraws_zero_push(monkeypatch, m, budget):
     width = 1 if m is None else m
     outs = []
     for threads in (1, 2):
-        out = _round_mode(prec.hat, a, Xh, m, 72, budget, threads)
+        out = _round_mode(prec, Xh, m, 72, budget, threads)
         assert out.samples_drawn == budget * width + width
         assert math.isfinite(out.kl) and out.kl == kl_divergence(a, out.b)
         assert abs(float(out.b.values.sum()) - 1.0) <= 1e-12
@@ -302,11 +300,12 @@ def test_round_matches_explicit_reference(m, budget):
     # rank-one, 64 + 6 batches of 4 for rank-m. A rank-one witness puts a on
     # the boundary of the hull, so some draws fail each rank-one inequality
     # and some batches the rank-m norm cap.
-    qmap, seed = precondition(make_map(65, 5, 4)).hat, 66
+    prec, seed = precondition(make_map(65, 5, 4)), 66
+    qmap = prec.hat
     u = GaussianSampler(70).normals((5,))
     Xh = SpectahedronPoint(np.outer(u, u) / (u @ u))
     a = hull_point_from_witness(qmap, Xh)
-    out = _round_mode(qmap, a, Xh, m, seed, budget)
+    out = _round_mode(prec, Xh, m, seed, budget)
 
     sol = solve(qmap, a)
     T = sqrt_psd(sol.X_star)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from quadround import (DiagonalForm, GaussianSampler, QuadraticMap,
-                       SandwichViolation, SimplexVector, check_sandwich,
-                       mc_abs_log_moment, mc_rank_m_abs_log, mc_tail, phi,
-                       sphere_max_oracle)
+                       SimplexVector, check_sandwich, mc_abs_log_moment,
+                       mc_rank_m_abs_log, mc_tail, phi, sphere_max_oracle)
 import quadround.verify as verify_mod
 from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
                               suite_lemma21, suite_lemma51, suite_sandwich,
@@ -53,6 +52,7 @@ def test_sphere_oracle_grid_vs_ascent():
 def test_check_sandwich_trivial_and_random(sampler):
     qmap = QuadraticMap([np.eye(2)] * 3)
     rep = check_sandwich(qmap, SimplexVector([1 / 3] * 3), sampler)
+    assert rep.lower_ok and rep.upper_ok
     assert rep.sphere_value == pytest.approx(0.0, abs=1e-9)
     assert rep.sdp_value == pytest.approx(0.0, abs=1e-9)
 
@@ -213,11 +213,20 @@ def test_suite_lemma51_small():
     assert all(r.satisfied for r in rows), [r.name for r in rows if not r.satisfied]
 
 
-def test_suite_sandwich_small():
+def test_suite_sandwich_small(monkeypatch):
     rows, extras = suite_sandwich(seed=2025, count=6)
     assert all(r.satisfied for r in rows)
     assert extras["max_excess"] <= 4.8
     assert len(rows) == 6
+    # an oracle above the relaxation breaks the lower inequality: the
+    # report says so and the suite fails the row instead of raising
+    monkeypatch.setattr(verify_mod, "sphere_max_oracle", lambda *a: 100.0)
+    rep = check_sandwich(QuadraticMap([np.eye(2)]), SimplexVector([1.0]),
+                         GaussianSampler(1))
+    assert not rep.lower_ok and rep.upper_ok
+    rows, _ = suite_sandwich(seed=2025, count=2)
+    assert [r.satisfied for r in rows] == [False, False]
+    assert all(r.value < -90.0 for r in rows)
 
 
 def test_suite_registry():

@@ -37,8 +37,7 @@ from ._util import canonical_json, sha256_file, sha256_hex
 from .config import DEFAULTS
 from .instances import random_map, random_witness
 from .linalg import LinalgError, NotPositiveDefinite
-from .quadmap import (InstanceFormatError, QuadraticMap,
-                      hull_point_from_combination, instance_to_json,
+from .quadmap import (InstanceFormatError, QuadraticMap, instance_to_json,
                       load_instance, precondition)
 from .rounding import GaussianSampler, round_rank_m, round_rank_one
 from .verify import MIN_SAMPLES, SUITES
@@ -78,30 +77,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def run_round(qmap: QuadraticMap, witness_spec, seed: int, budget: int,
-              tol: float, m: int | None, threads: int = 1,
-              witness_random: bool = False):
-    """The round pipeline on an already-loaded instance.
+def run_round(qmap: QuadraticMap, X, seed: int, budget: int,
+              tol: float, m: int | None, threads: int = 1):
+    """The round pipeline on an already-loaded instance and its witness X
+    (original coordinates, sum_i <Q_i, X> = 1).
 
     Returns (outcome, payload) where payload carries everything the result
     file needs except the instance digest and command line.
     """
     sampler = GaussianSampler(seed)
-    if witness_spec is None:
-        if not witness_random:
-            raise InstanceFormatError(
-                "instance has no witness; add one to the file or pass "
-                "--witness-random")
-        witness_spec = ("X", random_witness(sampler, qmap))
-
     t0 = time.perf_counter()
     prec = precondition(qmap)
-    if witness_spec[0] == "X":
-        X_hat = prec.push_witness(witness_spec[1])
-    else:
-        _tag, pts, weights = witness_spec
-        pushed = [prec.push_point(p) for p in pts]
-        _a, X_hat = hull_point_from_combination(prec.hat, pushed, weights)
+    X_hat = prec.push_witness(X)
     t_setup = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -142,17 +129,19 @@ def run_round(qmap: QuadraticMap, witness_spec, seed: int, budget: int,
 
 
 def cmd_round(args) -> int:
-    if (args.rank_m is None) == (not args.rank_one):
-        print("error: exactly one of --rank-one / --rank-m M is required",
-              file=sys.stderr)
-        return EXIT_PARSE
     instance_path = Path(args.instance)
-    qmap, witness_spec = load_instance(str(instance_path))
+    qmap, X = load_instance(str(instance_path))
+    if X is None:
+        if not args.witness_random:
+            raise InstanceFormatError(
+                "instance has no witness; add one to the file or pass "
+                "--witness-random")
+        # Reads the parent stream only; rounding reads only its substreams.
+        X = random_witness(GaussianSampler(args.seed), qmap)
 
     outcome, payload = run_round(
-        qmap, witness_spec, seed=args.seed, budget=args.budget, tol=args.tol,
-        m=args.rank_m, threads=args.threads,
-        witness_random=args.witness_random)
+        qmap, X, seed=args.seed, budget=args.budget, tol=args.tol,
+        m=args.rank_m, threads=args.threads)
 
     command = f"round {'--rank-one' if args.rank_m is None else f'--rank-m {args.rank_m}'} " \
               f"--budget {args.budget} --seed {args.seed} --tol {args.tol!r}"
@@ -179,10 +168,7 @@ def cmd_round(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite_fn = SUITES.get(args.suite)
-    if suite_fn is None:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_PARSE
+    suite_fn = SUITES[args.suite]
     if args.suite == "constants":
         rows, extras = suite_fn()
     elif args.suite == "sandwich":
@@ -317,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("round", help="run the full rounding pipeline")
     p.add_argument("instance")
-    p.add_argument("--rank-one", action="store_true")
-    p.add_argument("--rank-m", type=_positive_int, default=None, metavar="M")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--rank-one", action="store_true")
+    mode.add_argument("--rank-m", type=_positive_int, default=None, metavar="M")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="draws (rank-one) or batches (rank-m); defaults "
                         f"{DEFAULTS.rank_one_budget} / {DEFAULTS.rank_m_budget}")

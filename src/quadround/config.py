@@ -27,7 +27,6 @@ class Tolerances:
     psd_check: float = 1e-9            # min eigenvalue >= -tol * ||X||_F
     trace_check: float = 1e-9          # |trace(X) - 1|
     precondition_residual: float = 1e-9  # ||sum Q_hat_i - I||_F
-    hull_sum: float = 1e-6             # |sum <Q_i, X> - 1| gate for hull points
 
     # entropic SDP solver
     fw_gap: float = 1e-6               # Frank-Wolfe gap termination threshold

@@ -9,9 +9,10 @@ at T x equals the old map at x.
 A point a of the convex hull of the image, scaled so its coordinates sum
 to 1, is always carried together with a witness: a PSD matrix X with
 a_i = <Q_i, X>. For a preconditioned map trace(X) = sum_i a_i = 1, so the
-witness lives on the spectahedron. The rounding procedures take the
-witness alone and derive a from it, so a and its certificate never
-disagree.
+witness lives on the spectahedron. A witness given as a convex combination
+of points becomes its matrix X when the instance is loaded, so the
+pipeline carries matrices only. The rounding procedures take the witness
+alone and derive a from it, so a and its certificate never disagree.
 
 Distances between hull points and image points are measured by relative
 entropy D(a||b) = sum_i a_i ln(a_i / b_i), natural logarithm throughout.
@@ -166,10 +167,6 @@ class PreconditionedMap:
         self.T = T
         self.T_inv = T_inv
 
-    def push_point(self, x) -> np.ndarray:
-        """Map a point of the original variables to the normalized ones."""
-        return self.T @ np.asarray(x, dtype=float).reshape(-1)
-
     def pull_point(self, y) -> np.ndarray:
         """Map a point of the normalized variables back to the original ones."""
         return self.T_inv @ np.asarray(y, dtype=float).reshape(-1)
@@ -238,25 +235,24 @@ def hull_point_from_witness(qmap: QuadraticMap,
     """Hull point a with a_i = <Q_i, X> for a spectahedron witness X.
 
     Requires a preconditioned map (forms summing to I) so that
-    sum_i a_i = trace(X) = 1; deviations beyond DEFAULTS.hull_sum raise.
+    sum_i a_i = trace(X) = 1; SimplexVector rejects a sum further than
+    DEFAULTS.simplex_sum from 1.
     """
-    a = np.einsum("kij,ij->k", qmap.Q, witness.mat)
-    s = float(a.sum())
-    if abs(s - 1.0) > DEFAULTS.hull_sum:
-        raise ValueError(
-            f"hull coordinates sum to {s!r}; map is not preconditioned")
-    return SimplexVector(a)
+    return SimplexVector(np.einsum("kij,ij->k", qmap.Q, witness.mat))
 
 
-def hull_point_from_combination(qmap: QuadraticMap, points, weights: SimplexVector):
-    """Hull point from an explicit convex combination of image points.
+def hull_point_from_combination(qmap: QuadraticMap, points,
+                                weights: SimplexVector):
+    """Hull point and matrix witness of a convex combination of points.
 
-    Scales the points by a common factor so the combined value sums to 1
-    (possible because the forms are homogeneous of degree 2), and returns
-    both the hull point a = sum_t w_t psi(x_t / sqrt(s)) and the spectahedron
-    witness X = sum_t w_t (x_t x_t') / s that reproduces it.
+    With s = sum_t w_t sum_i q_i(x_t), returns a = sum_t w_t psi(x_t) / s
+    and X = sum_t (w_t / s) x_t x_t', so a_i = <Q_i, X> and
+    sum_i a_i = 1 on any map. Points of weight 0 are dropped and the rest
+    are divided by their largest |entry| first: a and X do not change under
+    a common scale of the points, and no square can overflow.
 
-    Requires a preconditioned map and at least one nonzero point.
+    Raises ValueError unless the points are n-vectors, one per weight, and
+    some point of positive weight is nonzero.
     """
     pts = np.array([np.asarray(p, dtype=float).reshape(-1) for p in points])
     if pts.ndim != 2 or pts.shape[1] != qmap.n:
@@ -264,15 +260,14 @@ def hull_point_from_combination(qmap: QuadraticMap, points, weights: SimplexVect
     w = weights.values
     if w.size != pts.shape[0]:
         raise ValueError("one weight per point required")
-    # For forms summing to I, sum_i q_i(x) = ||x||^2, so the normalizer is
-    # the weighted mean squared norm.
-    s = float(np.sum(w * np.einsum("ti,ti->t", pts, pts)))
-    if s <= 0.0:
-        raise ValueError("all points are zero")
-    X = np.einsum("t,ti,tj->ij", w / s, pts, pts)
-    witness = SpectahedronPoint(X)
-    a = hull_point_from_witness(qmap, witness)
-    return a, witness
+    pts, w = pts[w > 0.0], w[w > 0.0]
+    scale = float(np.abs(pts).max())
+    if scale == 0.0:
+        raise ValueError("the points of positive weight are all zero")
+    pts = pts / scale
+    vals = w @ evaluate_batch(qmap.Q, pts)
+    s = float(vals.sum())
+    return SimplexVector(vals / s), np.einsum("t,ti,tj->ij", w / s, pts, pts)
 
 
 def kl_divergence(a: SimplexVector, b: SimplexVector) -> float:
@@ -318,8 +313,10 @@ def pinsker_lower_bound(a: SimplexVector, b: SimplexVector) -> float:
 #
 # Matrices are symmetrized and validated positive definite on load. A matrix
 # witness is stored in the original coordinates, normalized so that
-# sum_i <Q_i, X> = 1; it is validated PSD here and transported onto the
-# spectahedron by PreconditionedMap.push_witness.
+# sum_i <Q_i, X> = 1; it is validated PSD here. A points witness becomes its
+# matrix X = sum_t (w_t / s) x_t x_t' here (hull_point_from_combination), so
+# the loader returns a matrix X either way, which
+# PreconditionedMap.push_witness transports onto the spectahedron.
 
 
 class InstanceFormatError(ValueError):
@@ -349,9 +346,8 @@ def _parse_array(value, what: str, shape=None) -> np.ndarray:
     return arr
 
 
-def instance_to_json(qmap: QuadraticMap, witness=None,
-                     points=None, weights=None) -> dict:
-    """Serialize a map (and optional witness) to the instance schema."""
+def instance_to_json(qmap: QuadraticMap, witness=None) -> dict:
+    """Serialize a map (and optional matrix witness) to the instance schema."""
     doc = {
         "n": qmap.n,
         "k": qmap.k,
@@ -359,20 +355,17 @@ def instance_to_json(qmap: QuadraticMap, witness=None,
     }
     if witness is not None:
         doc["witness"] = {"X": np.asarray(witness, dtype=float).tolist()}
-    elif points is not None:
-        doc["witness"] = {
-            "points": [np.asarray(p, dtype=float).tolist() for p in points],
-            "weights": list(map(float, weights)),
-        }
     return doc
 
 
 def instance_from_json(doc: dict):
     """Parse and validate an instance document.
 
-    Returns (map, witness_spec) where witness_spec is None,
-    ("X", ndarray) for a matrix witness, or ("points", pts, weights) for an
-    explicit combination. Raises InstanceFormatError on malformed input and
+    Returns (map, X) where X is None when the document has no witness, and
+    otherwise the witness matrix in the original coordinates, PSD with
+    sum_i <Q_i, X> = 1: a matrix witness as given (divided by that sum), a
+    points witness as the matrix hull_point_from_combination builds from
+    it. Raises InstanceFormatError on malformed input and
     NotPositiveDefinite on forms that fail the definiteness gate.
     """
     if not isinstance(doc, dict):
@@ -401,34 +394,26 @@ def instance_from_json(doc: dict):
         if w[0] < -DEFAULTS.psd_check * max(float(np.linalg.norm(X)), 1e-300):
             raise InstanceFormatError(f"witness X is not PSD (min eig {w[0]:.3e})")
         total = float(np.einsum("kij,ij->", qmap.Q, X))
-        if abs(total - 1.0) > DEFAULTS.hull_sum:
+        if abs(total - 1.0) > DEFAULTS.simplex_sum:
             raise InstanceFormatError(
                 f"witness is normalized to sum {total!r}, expected 1")
-        return qmap, ("X", X / total)
+        return qmap, X / total
     if "points" in wit:
         try:
-            pts = [_parse_array(p, "witness point").reshape(-1)
-                   for p in wit["points"]]
+            pts = [_parse_array(p, "witness point") for p in wit["points"]]
             wts = _parse_array(wit["weights"], "witness weights")
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"malformed combination witness: {exc}") from exc
-        if any(p.size != n for p in pts):
-            raise InstanceFormatError("witness points must be n-vectors")
-        if wts.size != len(pts):
-            raise InstanceFormatError("one weight per witness point required")
         try:
-            weights = SimplexVector(wts)
+            return qmap, hull_point_from_combination(
+                qmap, pts, SimplexVector(wts))[1]
         except ValueError as exc:
-            raise InstanceFormatError(f"witness weights: {exc}") from exc
-        if sum(w * float(p @ p) for w, p in zip(weights.values, pts)) == 0.0:
-            raise InstanceFormatError(
-                "witness points with positive weight are all zero")
-        return qmap, ("points", pts, weights)
+            raise InstanceFormatError(f"points witness: {exc}") from exc
     raise InstanceFormatError("witness must contain either X or points/weights")
 
 
 def load_instance(path: str):
-    """Read an instance file; see instance_from_json for the return shape."""
+    """Read an instance file; returns (map, X or None) as instance_from_json."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

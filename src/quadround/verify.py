@@ -27,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import map_indexed
-from .bounds import BoundReport, laplace_tail_upper, phi, rank_m_abs_log
+from .bounds import (BoundReport, constants_report, laplace_tail_upper, phi,
+                     rank_m_abs_log)
 from .entropic_sdp import solve
+from .instances import random_map
 from .quadmap import QuadraticMap, SimplexVector
 from .rounding import GaussianSampler
 
@@ -245,7 +247,6 @@ def _derived_sampler(seed: int, index: int) -> GaussianSampler:
 
 def suite_constants():
     """Closed-form constants against their documented targets; instant."""
-    from .bounds import constants_report
     rows = constants_report()
     return rows, {}
 
@@ -336,7 +337,6 @@ def suite_sandwich(seed: int, count: int = 100, threads: int = 1):
     per instance (value = relaxation excess over the sphere oracle) plus the
     maximum excess observed.
     """
-    from .instances import random_map
     rows = []
     max_excess = -math.inf
     for j in range(count):

@@ -55,9 +55,9 @@ def test_gen_with_witness(tmp_path):
     out = tmp_path / "w.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "9",
             "--witness-random", "--out", str(out))
-    qmap, wit = load_instance(str(out))
-    assert wit is not None and wit[0] == "X"
-    total = float(np.einsum("kij,ij->", qmap.Q, wit[1]))
+    qmap, X = load_instance(str(out))
+    assert X is not None
+    total = float(np.einsum("kij,ij->", qmap.Q, X))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -115,26 +115,33 @@ def test_round_rank_m_and_report(tmp_path):
 @pytest.mark.parametrize("mode", [["--rank-one"], ["--rank-m", "4"]])
 def test_round_points_witness(tmp_path, mode):
     # A witness given as a weighted set of points x_t fixes the hull point
-    # a = sum_t w_t q(x_t) / sum_t w_t sum_i q_i(x_t) on the original map.
-    Q = [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]],
-         [[1.0, 0.5], [0.5, 1.0]]]
-    pts, w = np.array([[1.0, 0.0], [0.3, -2.0]]), np.array([0.25, 0.75])
-    inst = tmp_path / "points.json"
-    inst.write_text(json.dumps({"n": 2, "k": 3, "Q": Q, "witness": {
-        "points": pts.tolist(), "weights": w.tolist()}}))
-    res = tmp_path / "res.json"
-    assert run_cli("--quiet", "round", str(inst), *mode, "--budget", "50",
-                   "--seed", "3", "--out", str(res)) == 0
-    doc = json.loads(res.read_text())
-    vals = np.einsum("t,kij,ti,tj->k", w, np.array(Q), pts, pts)
-    assert np.allclose(doc["a"], vals / vals.sum(), rtol=0, atol=1e-12)
-    # the certificate points reproduce b on the original map
-    cert = np.asarray(doc["points"])
-    b = np.einsum("t,kij,ti,tj->k", doc["weights"], np.array(Q), cert, cert)
-    assert np.allclose(b, doc["b"], rtol=0, atol=1e-9)
-    assert doc["kl"] == pytest.approx(
-        kl_divergence(SimplexVector(doc["a"]), SimplexVector(doc["b"])),
-        rel=1e-12, abs=1e-15)
+    # a = sum_t w_t q(x_t) / sum_t w_t sum_i q_i(x_t) on the original map,
+    # which does not change when the points are rescaled. The last two
+    # inputs have points whose squares overflow, of weight 0 and positive.
+    Q3 = [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]],
+          [[1.0, 0.5], [0.5, 1.0]]]
+    for Q, pts, w in ((Q3, [[1.0, 0.0], [0.3, -2.0]], [0.25, 0.75]),
+                      ([[[1.0]]], [[1e200], [1.0]], [0.0, 1.0]),
+                      (Q3, [[1e200, 1e199], [0.3, -2.0]], [0.25, 0.75])):
+        inst = tmp_path / "points.json"
+        inst.write_text(json.dumps({"n": len(Q[0]), "k": len(Q), "Q": Q,
+                                    "witness": {"points": pts, "weights": w}}))
+        res = tmp_path / "res.json"
+        assert run_cli("--quiet", "round", str(inst), *mode, "--budget", "50",
+                       "--seed", "3", "--out", str(res)) == 0, pts
+        doc = json.loads(res.read_text())
+        pts, w = np.array(pts), np.array(w)
+        pts, w = pts[w > 0] / np.abs(pts[w > 0]).max(), w[w > 0]
+        vals = np.einsum("t,kij,ti,tj->k", w, np.array(Q), pts, pts)
+        assert np.allclose(doc["a"], vals / vals.sum(), rtol=0, atol=1e-12)
+        # the certificate points reproduce b on the original map
+        cert = np.asarray(doc["points"])
+        b = np.einsum("t,kij,ti,tj->k", doc["weights"], np.array(Q), cert,
+                      cert)
+        assert np.allclose(b, doc["b"], rtol=0, atol=1e-9)
+        assert doc["kl"] == pytest.approx(
+            kl_divergence(SimplexVector(doc["a"]), SimplexVector(doc["b"])),
+            rel=1e-12, abs=1e-15)
 
 
 def test_round_kl_reverifies_on_reload(tmp_path):
@@ -266,7 +273,29 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
                  '"witness": {"points": [[0.0]], "weights": [1.0]}}',
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
                  '"witness": {"points": [[1.0], [0.0]], '
-                 '"weights": [0.0, 1.0]}}'):
+                 '"weights": [0.0, 1.0]}}',
+                 # malformed points witnesses: a 2-vector for n = 1, two
+                 # weights for one point, weights that do not sum to 1, a
+                 # number for the points, no weights, no points, ragged
+                 # points, a negative weight
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0, 2.0]], "weights": [1.0]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0]], "weights": [0.5, 0.5]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0]], "weights": [0.5]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": 3, "weights": [1.0]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0]]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [], "weights": []}}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {"points": [[1.0, 0.0], [1.0]], '
+                 '"weights": [0.5, 0.5]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0], [2.0]], '
+                 '"weights": [1.5, -0.5]}}'):
         bad.write_text(text)
         assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed",
                        "1", "--witness-random", "--budget", "5") == 2, text

@@ -150,7 +150,7 @@ def test_precondition_preserves_image():
     sampler = GaussianSampler(6)
     for _ in range(100):
         x = sampler.normals((4,))
-        lhs = evaluate(prec.hat, prec.push_point(x))
+        lhs = evaluate(prec.hat, prec.T @ x)
         rhs = evaluate(qmap, x)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
@@ -207,7 +207,7 @@ def test_hull_point_from_combination():
     x = x / np.linalg.norm(x)
     a, X = hull_point_from_combination(prec.hat, [x], SimplexVector([1.0]))
     assert np.allclose(a.values, evaluate(prec.hat, x), rtol=1e-10)
-    assert np.allclose(X.mat, np.outer(x, x), atol=1e-12)
+    assert np.allclose(X, np.outer(x, x), atol=1e-12)
 
     # antipodal points give the same hull point (the forms are even)
     a2, _ = hull_point_from_combination(
@@ -219,8 +219,21 @@ def test_hull_point_from_combination():
     pts = [sampler.normals((4,)) for _ in range(3)]
     w = make_simplex(12, 3)
     a3, X3 = hull_point_from_combination(prec.hat, pts, w)
-    assert np.allclose(hull_point_from_witness(prec.hat, X3).values,
-                       a3.values, atol=1e-10)
+    assert np.allclose(hull_point_from_witness(prec.hat, SpectahedronPoint(X3))
+                       .values, a3.values, atol=1e-10)
+
+    # any map: a_i = <Q_i, X> with unit sum, on the original forms too
+    raw = make_map(106, 4, 3)
+    a4, X4 = hull_point_from_combination(raw, pts, w)
+    assert np.allclose(np.einsum("kij,ij->k", raw.Q, X4), a4.values,
+                       rtol=1e-12)
+    assert float(np.einsum("kij,ij->", raw.Q, X4)) == pytest.approx(1.0)
+
+    # a point of weight 0 is dropped, even one whose square overflows
+    a5, X5 = hull_point_from_combination(
+        raw, [np.full(4, 1e200), pts[0]], SimplexVector([0.0, 1.0]))
+    a6, X6 = hull_point_from_combination(raw, [pts[0]], SimplexVector([1.0]))
+    assert np.array_equal(a5.values, a6.values) and np.array_equal(X5, X6)
 
     with pytest.raises(ValueError):
         hull_point_from_combination(prec.hat, [np.zeros(4), np.zeros(4)],
@@ -273,15 +286,16 @@ def test_instance_json_roundtrip():
     X = np.eye(3)
     X = X / float(np.einsum("kij,ij->", qmap.Q, X))
     doc = instance_to_json(qmap, witness=X)
-    qmap2, spec = instance_from_json(doc)
+    qmap2, X2 = instance_from_json(doc)
     assert np.array_equal(qmap2.Q, qmap.Q)
-    assert spec[0] == "X"
-    assert np.allclose(spec[1], X, atol=1e-12)
-    # and a combination witness
-    doc2 = instance_to_json(qmap, points=[np.ones(3)], weights=[1.0])
-    _, spec2 = instance_from_json(doc2)
-    assert spec2[0] == "points"
-    assert np.allclose(spec2[1][0], np.ones(3))
+    assert np.allclose(X2, X, atol=1e-12)
+    # a combination witness loads as its matrix
+    doc2 = {**instance_to_json(qmap),
+            "witness": {"points": [[1.0, 1.0, 1.0]], "weights": [1.0]}}
+    _, X3 = instance_from_json(doc2)
+    ones = np.ones((3, 3))
+    assert np.allclose(X3, ones / float(np.einsum("kij,ij->", qmap.Q, ones)),
+                       rtol=1e-12)
 
     with pytest.raises(InstanceFormatError):
         instance_from_json({"n": 2, "k": 1})
@@ -299,3 +313,28 @@ def test_instance_json_roundtrip():
     with pytest.raises(NotPositiveDefinite):
         instance_from_json({"n": 2, "k": 1,
                             "Q": [[[1.0, 2.0], [2.0, 1.0]]]})
+
+
+def test_points_witness_loads_as_matrix():
+    # Seeded maps and combinations: the loader returns the matrix witness
+    # X = sum_t (w_t / s) x_t x_t' with s = sum_t w_t sum_i q_i(x_t), which
+    # does not change when every point is scaled by 1e200.
+    sampler = GaussianSampler(15)
+    for j in range(40):
+        n, k, t = 1 + j % 6, 1 + (j // 6) % 5, 1 + j % 4
+        qmap = random_map(sampler.substream(2 * j), n, k)
+        pts = sampler.normals((t, n))
+        w = make_simplex(200 + j, t).values
+        doc = {**instance_to_json(qmap), "witness": {
+            "points": pts.tolist(), "weights": w.tolist()}}
+        _, X = instance_from_json(doc)
+        assert np.allclose(X, X.T, rtol=0, atol=1e-15 * np.linalg.norm(X))
+        assert np.linalg.eigvalsh(X)[0] >= -1e-12 * np.linalg.norm(X)
+        q = np.einsum("kij,ti,tj->tk", qmap.Q, pts, pts)
+        s = float(w @ q.sum(axis=1))
+        a = np.einsum("kij,ij->k", qmap.Q, X)
+        assert np.allclose(a, w @ q / s, rtol=1e-10, atol=0)
+        assert float(a.sum()) == pytest.approx(1.0, abs=1e-12)
+        doc["witness"]["points"] = (1e200 * pts).tolist()
+        _, X_big = instance_from_json(doc)
+        assert np.allclose(X_big, X, rtol=0, atol=1e-12 * np.linalg.norm(X))

@@ -24,8 +24,8 @@ from .quadmap import (PreconditionedMap, QuadraticMap, SimplexVector,
                       pinsker_lower_bound, precondition)
 from .rounding import (GaussianSampler, RoundingOutcome, acceptance,
                        decompose_rank_m, round_rank_m, round_rank_one)
-from .verify import (DiagonalForm, McEstimate, SandwichReport,
-                     check_sandwich, mc_abs_log_moment, mc_estimates,
-                     mc_rank_m_abs_log, mc_tail, sphere_max_oracle)
+from .verify import (McEstimate, SandwichReport, check_sandwich,
+                     mc_abs_log_moment, mc_estimates, mc_rank_m_abs_log,
+                     mc_tail, sphere_max_oracle)
 
 __version__ = "0.1.0"

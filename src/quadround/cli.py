@@ -172,7 +172,7 @@ def cmd_verify(args) -> int:
     if args.suite == "constants":
         rows, extras = suite_fn()
     elif args.suite == "sandwich":
-        rows, extras = suite_fn(args.seed, threads=args.threads)
+        rows, extras = suite_fn(args.seed)
     else:
         rows, extras = suite_fn(args.seed, samples=args.samples,
                                 threads=args.threads)

@@ -4,8 +4,8 @@ DEFAULTS is the one place these numbers live, with the solver's iteration
 cap and the default rounding budgets. Each tolerance is read, at the point
 of use, by the one operation that needs it; no function takes a tolerance
 as an argument, so nothing overrides the table per call. Only the gap
-tolerance and the budgets (the --tol and --budget options) and solve's
-max_iters are arguments, and they default to the values here.
+tolerance and the budgets (the --tol and --budget options) are arguments,
+and they default to the values here.
 """
 
 from __future__ import annotations

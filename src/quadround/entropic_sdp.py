@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .linalg import _eigh_checked
+from .linalg import sym_eigen
 from .quadmap import QuadraticMap, SimplexVector
 
 
@@ -122,7 +122,7 @@ def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
     2 <G, X> = 2. Returns a feasible X whose objective is at least the
     input's.
     """
-    w, V = _eigh_checked(X)
+    w, V = sym_eigen(X)
     Y = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     nrm = float(np.linalg.norm(Y))
     if nrm == 0.0:
@@ -156,19 +156,19 @@ def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
 
 
 def solve(qmap: QuadraticMap, alpha: SimplexVector,
-          tol: float = DEFAULTS.fw_gap,
-          max_iters: int = DEFAULTS.fw_max_iters) -> SdpSolution:
+          tol: float = DEFAULTS.fw_gap) -> SdpSolution:
     """Frank-Wolfe with exact line search and sphere polish; X_0 = I / n.
 
-    Terminates when the gap <G, v v' - X> drops to tol or after max_iters
-    outer iterations (then converged=False; the result is still feasible and
-    certified by its gap). The objective is nondecreasing across iterations,
-    asserted per step.
+    Terminates when the gap <G, v v' - X> drops to tol or after
+    DEFAULTS.fw_max_iters outer iterations (then converged=False; the result
+    is still feasible and certified by its gap). The objective is
+    nondecreasing across iterations, asserted per step.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if alpha.k != qmap.k:
         raise ValueError("weight vector length must match the number of forms")
+    max_iters = DEFAULTS.fw_max_iters
     n = qmap.n
     Qstack = qmap.Q
     al = alpha.values
@@ -186,7 +186,7 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
         prev_val = val
         trace_log.append(val)
         G = gradient(qmap, alpha, X)
-        wG, VG = _eigh_checked(G)
+        wG, VG = sym_eigen(G)
         v = VG[:, -1]
         gap = float(wG[-1] - np.sum(G * X))
         iterations = it

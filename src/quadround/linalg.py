@@ -34,12 +34,13 @@ class EigenConvergenceError(LinalgError):
     """The symmetric eigensolver failed to meet its residual contract."""
 
 
-def _eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric array with residual verification.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Raises EigenConvergenceError if LAPACK fails or the residual
-    ||A V - V diag(w)||_F exceeds tol * max(||A||_F, 1e-300), with
+    Raises EigenConvergenceError if LAPACK fails, if the residual
+    ||A V - V diag(w)||_F exceeds tol * max(||A||_F, 1e-300), or if
+    ||V'V - I||_F exceeds tol * max(1, ||A||_F), with
     tol = DEFAULTS.eigen_residual.
     """
     tol = DEFAULTS.eigen_residual
@@ -56,15 +57,6 @@ def _eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if ortho > tol * max(1.0, scale):
         raise EigenConvergenceError(f"eigenvector basis not orthonormal: {ortho:.3e}")
     return w, v
-
-
-def sym_eigen(a):
-    """Full eigendecomposition: eigenvalues ascending, orthonormal eigenvectors.
-
-    Satisfies ||A v_j - w_j v_j|| <= tol * ||A||_F and V'V = I to tol
-    (tol = DEFAULTS.eigen_residual).
-    """
-    return _eigh_checked(a)
 
 
 def cholesky(a) -> np.ndarray:
@@ -95,7 +87,7 @@ def sqrt_psd(a) -> np.ndarray:
     and resid_tol = DEFAULTS.sqrt_residual.
     """
     clamp = DEFAULTS.psd_clamp
-    w, v = _eigh_checked(a)
+    w, v = sym_eigen(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     if w[0] < -clamp * scale:
         raise NotPositiveDefinite(

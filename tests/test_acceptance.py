@@ -46,7 +46,7 @@ def sandwich_runs():
         qmap = random_map(sampler, n, k, 100.0)
         alpha = _simplex_from(sampler.substream(k + 1), k)
         sol = solve(qmap, alpha, tol=1e-6)
-        sphere = sphere_max_oracle(qmap, alpha, restarts=24, sampler=sampler)
+        sphere = sphere_max_oracle(qmap, alpha, sampler)
         runs.append((n, k, qmap, alpha, sol, sphere))
     return runs
 
@@ -122,7 +122,7 @@ def test_criterion_1_constants():
 
 
 def test_criterion_2_lemma21_mc():
-    rows, _ = suite_lemma21(SEED_LEMMA21, samples=10 ** 6, n_forms=20)
+    rows, _ = suite_lemma21(SEED_LEMMA21, samples=10 ** 6)
     bad = [r.name for r in rows if not r.satisfied]
     rank1 = next(r for r in rows if r.name == "abs_log_moment[rank1] near 1.76")
     ok = not bad and abs(rank1.value - 1.76) <= 0.02
@@ -132,8 +132,7 @@ def test_criterion_2_lemma21_mc():
 
 
 def test_criterion_3_lemma51_mc():
-    rows, _ = suite_lemma51(SEED_LEMMA51, samples=10 ** 6,
-                            ms=(1, 4, 16, 100), forms_per_m=5)
+    rows, _ = suite_lemma51(SEED_LEMMA51, samples=10 ** 6)
     bad = [r.name for r in rows if not r.satisfied]
     ok = not bad
     _report("3 (averaged-form tails and moments)", ok,

@@ -295,7 +295,19 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
                  '"weights": [0.5, 0.5]}}',
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
                  '"witness": {"points": [[1.0], [2.0]], '
-                 '"weights": [1.5, -0.5]}}'):
+                 '"weights": [1.5, -0.5]}}',
+                 # malformed matrix witnesses: not PSD, trace 2, the wrong
+                 # shape, a number, an object with neither X nor points
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {"X": [[1.5, 0.0], [0.0, -0.5]]}}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {"X": [[1.0, 0.0], [0.0, 1.0]]}}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {"X": [[1.0]]}}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": 3}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {}}'):
         bad.write_text(text)
         assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed",
                        "1", "--witness-random", "--budget", "5") == 2, text
@@ -365,6 +377,24 @@ def test_verify_small_suites_cli():
                    "--samples", "2e4") == 0
     assert run_cli("--quiet", "verify", "--suite", "lemma51", "--seed", "2",
                    "--samples", "2e4") == 0
+
+
+@pytest.mark.parametrize("suite", ["constants", "lemma21", "lemma51",
+                                   "sandwich"])
+def test_verify_json_bytes_independent_of_threads(tmp_path, monkeypatch,
+                                                  suite):
+    # small blocks so the Monte Carlo suites span several blocks and
+    # --threads 3 really runs the pool; few sandwich instances
+    monkeypatch.setattr(verify_mod, "_MC_BLOCK_ELEMS", 1 << 12)
+    monkeypatch.setattr(verify_mod, "_SANDWICH_INSTANCES", 5)
+    outs = []
+    for threads in ("1", "3"):
+        js = tmp_path / f"{suite}-{threads}.json"
+        assert run_cli("--quiet", "--threads", threads, "verify", "--suite",
+                       suite, "--seed", "1", "--samples", "1e4",
+                       "--json", str(js)) == 0
+        outs.append(js.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_verify_failure_exit5(monkeypatch):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
+import quadround.entropic_sdp as entropic_sdp
+from quadround import (DEFAULTS, GaussianSampler, QuadraticMap, SimplexVector,
                        gradient, objective, precondition, solve)
 
 from conftest import make_map, make_simplex
@@ -138,12 +140,14 @@ def test_solve_monotone_feasible_certified():
             assert val <= sol.value + sol.fw_gap + 1e-9
 
 
-def test_solve_iteration_cap_flag():
+def test_solve_iteration_cap_flag(monkeypatch):
     # zero extra iterations allowed: must flag non-convergence on a
     # non-trivial instance
+    monkeypatch.setattr(entropic_sdp, "DEFAULTS",
+                        dataclasses.replace(DEFAULTS, fw_max_iters=0))
     qmap = make_map(5000, 4, 3)
     alpha = make_simplex(5001, 3)
-    sol = solve(qmap, alpha, max_iters=0)
+    sol = solve(qmap, alpha)
     assert not sol.converged
     assert sol.fw_gap > 1e-6
     assert sol.iterations == 0

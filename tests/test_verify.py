@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from quadround import (DiagonalForm, GaussianSampler, QuadraticMap,
-                       SimplexVector, check_sandwich, mc_abs_log_moment,
-                       mc_rank_m_abs_log, mc_tail, phi, sphere_max_oracle)
+from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
+                       check_sandwich, mc_abs_log_moment, mc_rank_m_abs_log,
+                       mc_tail, phi, sphere_max_oracle)
 import quadround.verify as verify_mod
 from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
                               suite_lemma21, suite_lemma51, suite_sandwich,
@@ -14,28 +14,19 @@ from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
 from conftest import make_map, make_simplex
 
 
-def test_diagonal_form():
-    f = DiagonalForm([0.25, 0.75])
-    assert np.array_equal(f.lam, [0.25, 0.75]) and f.n == 2
-    with pytest.raises(ValueError):
-        DiagonalForm([0.5, -0.5])
-
-
 def test_sphere_oracle_trivials(sampler):
     qmap = QuadraticMap([np.eye(3), np.eye(3)])
     alpha = SimplexVector([0.3, 0.7])
-    assert sphere_max_oracle(qmap, alpha, 5, sampler) == pytest.approx(
+    assert sphere_max_oracle(qmap, alpha, sampler) == pytest.approx(
         0.0, abs=1e-10)
     # k = 1: the Rayleigh quotient maximum is the top eigenvalue
     qmap1 = QuadraticMap([np.diag([1.0, 1.5, 2.0])])
-    val = sphere_max_oracle(qmap1, SimplexVector([1.0]), 10, sampler)
+    val = sphere_max_oracle(qmap1, SimplexVector([1.0]), sampler)
     assert val == pytest.approx(math.log(2.0), abs=1e-8)
     # n = 2 grid branch
     qmap2 = QuadraticMap([np.diag([1.0, 2.0])])
-    val2 = sphere_max_oracle(qmap2, SimplexVector([1.0]), 1, sampler)
+    val2 = sphere_max_oracle(qmap2, SimplexVector([1.0]), sampler)
     assert val2 == pytest.approx(math.log(2.0), abs=1e-10)
-    with pytest.raises(ValueError):
-        sphere_max_oracle(qmap2, SimplexVector([1.0]), 0, sampler)
 
 
 def test_sphere_oracle_grid_vs_ascent():
@@ -43,8 +34,8 @@ def test_sphere_oracle_grid_vs_ascent():
     for trial in range(5):
         qmap = make_map(300 + trial, 2, 3)
         alpha = make_simplex(400 + trial, 3)
-        s_grid = sphere_max_oracle(qmap, alpha, 1, GaussianSampler(1))
-        s_asc = sphere_max_oracle(qmap, alpha, 30, GaussianSampler(2),
+        s_grid = sphere_max_oracle(qmap, alpha, GaussianSampler(1))
+        s_asc = sphere_max_oracle(qmap, alpha, GaussianSampler(2),
                                   force_ascent=True)
         assert s_asc == pytest.approx(s_grid, abs=1e-5)
 
@@ -70,18 +61,18 @@ def test_check_sandwich_trivial_and_random(sampler):
 
 
 def test_mc_abs_log_moment_rank_one():
-    est = mc_abs_log_moment(DiagonalForm([1.0]), 10 ** 5, GaussianSampler(1))
+    est = mc_abs_log_moment(SimplexVector([1.0]), 10 ** 5, GaussianSampler(1))
     assert abs(est.mean - 1.76) <= max(0.03, 3 * est.stderr)
     assert est.mean < 2.75
     assert est.samples == 10 ** 5
     with pytest.raises(ValueError):
-        mc_abs_log_moment(DiagonalForm([1.0]), 100, GaussianSampler(1))
+        mc_abs_log_moment(SimplexVector([1.0]), 100, GaussianSampler(1))
 
 
 def test_mc_abs_log_moment_concentration():
     # near-uniform spectrum in high dimension: q concentrates at its mean
     n = 10 ** 4
-    form = DiagonalForm(np.full(n, 1.0 / n))
+    form = SimplexVector(np.full(n, 1.0 / n))
     est = mc_abs_log_moment(form, 2000, GaussianSampler(2))
     assert est.mean < 0.1
 
@@ -89,44 +80,43 @@ def test_mc_abs_log_moment_concentration():
 def test_mc_abs_log_moment_random_forms():
     for trial in range(5):
         lam = make_simplex(800 + trial, 3 + trial)
-        est = mc_abs_log_moment(DiagonalForm(lam.values), 10 ** 4,
-                                GaussianSampler(900 + trial))
+        est = mc_abs_log_moment(lam, 10 ** 4, GaussianSampler(900 + trial))
         assert est.mean < 2.75 + 3 * est.stderr
 
 
 def test_mc_tail():
     # chi-square survival at 6 via the complementary error function
-    est = mc_tail(DiagonalForm([1.0]), 1, 6.0, 10 ** 5, GaussianSampler(3))
+    est = mc_tail(SimplexVector([1.0]), 1, 6.0, 10 ** 5, GaussianSampler(3))
     exact = math.erfc(math.sqrt(3.0))
     assert abs(est.mean - exact) <= 3 * est.stderr + 1e-4
     assert est.mean <= phi(6.0)
 
     # m = 10 at t = 2 stays below the Laplace bound exp(5 (1 - 2 + ln 2))
-    est = mc_tail(DiagonalForm([0.6, 0.4]), 10, 2.0, 10 ** 4, GaussianSampler(4))
+    est = mc_tail(SimplexVector([0.6, 0.4]), 10, 2.0, 10 ** 4, GaussianSampler(4))
     assert est.mean <= math.exp(5.0 * (1.0 - 2.0 + math.log(2.0))) + 3 * est.stderr
 
     # t = 1: the bound is 1, trivially satisfied
-    est = mc_tail(DiagonalForm([1.0]), 1, 1.0, 10 ** 3, GaussianSampler(5))
+    est = mc_tail(SimplexVector([1.0]), 1, 1.0, 10 ** 3, GaussianSampler(5))
     assert est.mean <= 1.0
     with pytest.raises(ValueError):
-        mc_tail(DiagonalForm([1.0]), 1, 0.0, 10 ** 3, GaussianSampler(5))
+        mc_tail(SimplexVector([1.0]), 1, 0.0, 10 ** 3, GaussianSampler(5))
 
 
 def test_mc_rank_m_abs_log():
-    est = mc_rank_m_abs_log(DiagonalForm([1.0]), 1, 10 ** 4, GaussianSampler(6))
+    est = mc_rank_m_abs_log(SimplexVector([1.0]), 1, 10 ** 4, GaussianSampler(6))
     assert abs(est.mean - 1.76) <= 0.1
     assert est.mean <= 6.0
 
-    est = mc_rank_m_abs_log(DiagonalForm([1.0]), 100, 10 ** 4, GaussianSampler(7))
+    est = mc_rank_m_abs_log(SimplexVector([1.0]), 100, 10 ** 4, GaussianSampler(7))
     assert est.mean <= 0.6 + 3 * est.stderr
 
-    est = mc_rank_m_abs_log(DiagonalForm([0.5, 0.5]), 4, 10 ** 4,
+    est = mc_rank_m_abs_log(SimplexVector([0.5, 0.5]), 4, 10 ** 4,
                             GaussianSampler(8))
     assert est.mean <= 3.0 + 3 * est.stderr
 
 
 def test_mc_threads_bit_identical():
-    form = DiagonalForm([0.3, 0.7])
+    form = SimplexVector([0.3, 0.7])
     e1 = mc_abs_log_moment(form, 10 ** 5, GaussianSampler(10), threads=1)
     e2 = mc_abs_log_moment(form, 10 ** 5, GaussianSampler(10), threads=4)
     assert e1.mean == e2.mean and e1.stderr == e2.stderr
@@ -134,7 +124,7 @@ def test_mc_threads_bit_identical():
 
 def test_mc_estimates_one_pass_matches_single_estimators():
     # the shared pass gives each reducer exactly what its own estimator gives
-    form = DiagonalForm([0.2, 0.5, 0.3])
+    form = SimplexVector([0.2, 0.5, 0.3])
     for m in (1, 4):
         est, tail = mc_estimates(form, m, 5000, GaussianSampler(13),
                                  [abs_log, tail_indicator(2.0)])
@@ -168,7 +158,7 @@ def test_gamma_law_matches_direct_gaussian_average(m):
     lam = np.array([0.55, 0.3, 0.1, 0.05])
     rows = 20000
     t = 1.0 + 3.0 / math.sqrt(m)
-    est, tail, mean = mc_estimates(DiagonalForm(lam), m, rows,
+    est, tail, mean = mc_estimates(SimplexVector(lam), m, rows,
                                    GaussianSampler(20 + m),
                                    [abs_log, tail_indicator(t), lambda q: q])
     qm = _direct_average(lam, m, rows, GaussianSampler(30 + m))
@@ -186,10 +176,8 @@ def test_mc_suites_threads_bit_identical_across_blocks(monkeypatch):
     monkeypatch.setattr(verify_mod, "_MC_BLOCK_ELEMS", 1 << 12)
 
     def rows(threads):
-        r21, _ = suite_lemma21(seed=5, samples=10 ** 4, threads=threads,
-                               n_forms=4)
-        r51, _ = suite_lemma51(seed=5, samples=10 ** 4, threads=threads,
-                               ms=(1, 4), forms_per_m=2)
+        r21, _ = suite_lemma21(seed=5, samples=10 ** 4, threads=threads)
+        r51, _ = suite_lemma51(seed=5, samples=10 ** 4, threads=threads)
         return [(r.name, r.value, r.satisfied) for r in r21 + r51]
 
     assert rows(1) == rows(3)
@@ -201,7 +189,7 @@ def test_suite_constants():
 
 
 def test_suite_lemma21_small():
-    rows, _ = suite_lemma21(seed=2025, samples=20000, n_forms=4)
+    rows, _ = suite_lemma21(seed=2025, samples=20000)
     assert all(r.satisfied for r in rows), [r.name for r in rows if not r.satisfied]
     names = [r.name for r in rows]
     assert any("rank1" in n for n in names)
@@ -209,12 +197,13 @@ def test_suite_lemma21_small():
 
 
 def test_suite_lemma51_small():
-    rows, _ = suite_lemma51(seed=2025, samples=20000, ms=(1, 4), forms_per_m=2)
+    rows, _ = suite_lemma51(seed=2025, samples=20000)
     assert all(r.satisfied for r in rows), [r.name for r in rows if not r.satisfied]
 
 
 def test_suite_sandwich_small(monkeypatch):
-    rows, extras = suite_sandwich(seed=2025, count=6)
+    monkeypatch.setattr(verify_mod, "_SANDWICH_INSTANCES", 6)
+    rows, extras = suite_sandwich(seed=2025)
     assert all(r.satisfied for r in rows)
     assert extras["max_excess"] <= 4.8
     assert len(rows) == 6
@@ -224,7 +213,8 @@ def test_suite_sandwich_small(monkeypatch):
     rep = check_sandwich(QuadraticMap([np.eye(2)]), SimplexVector([1.0]),
                          GaussianSampler(1))
     assert not rep.lower_ok and rep.upper_ok
-    rows, _ = suite_sandwich(seed=2025, count=2)
+    monkeypatch.setattr(verify_mod, "_SANDWICH_INSTANCES", 2)
+    rows, _ = suite_sandwich(seed=2025)
     assert [r.satisfied for r in rows] == [False, False]
     assert all(r.value < -90.0 for r in rows)
 

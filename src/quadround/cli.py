@@ -358,6 +358,10 @@ def main(argv=None) -> int:
         # negative KL, a degenerate draw)
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
+    except MemoryError as exc:
+        # an allocation the host cannot provide, say for a huge --rank-m
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE

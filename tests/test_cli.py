@@ -468,6 +468,23 @@ def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys, module, attr,
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exit3(tmp_path, monkeypatch, capsys):
+    # an allocation the host cannot provide ends in an error line and exit
+    # 3, never a traceback
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "1",
+            "--out", str(inst))
+
+    def failing(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array")
+    monkeypatch.setattr(cli_mod, "run_round", failing)
+    assert run_cli("--quiet", "round", str(inst), "--rank-m", "1000000000",
+                   "--budget", "1", "--seed", "1", "--witness-random") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory:")
+    assert "Traceback" not in err
+
+
 def test_report_empty_after_filter_and_malformed(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "4", "--k", "3", "--seed", "42",

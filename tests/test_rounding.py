@@ -8,7 +8,7 @@ from quadround import (GaussianSampler, PreconditionedMap, QuadraticMap,
                        decompose_rank_m, evaluate, hull_point_from_combination,
                        hull_point_from_witness, kl_divergence,
                        pinsker_lower_bound, precondition, round_rank_m,
-                       round_rank_one, solve, sqrt_psd)
+                       round_rank_one, solve, sphere_max_oracle, sqrt_psd)
 
 from conftest import make_map, make_preconditioned
 
@@ -134,6 +134,25 @@ def test_round_rank_one_single_form_zero_kl():
     out = round_rank_one(prec, X, GaussianSampler(6), budget=10)
     assert out.a.values[0] == 1.0
     assert out.kl <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_round_rank_one_attains_exact_distance_ellipse_centre(delta):
+    # known answer: for n = 2 the sphere oracle is exact to roundoff, so
+    # d* = sum_i a_i ln a_i - max_sphere sum_i a_i ln q_i is the distance
+    # from a to the image; the centre of this ellipse family sits 0.05-0.06
+    # away, and rank-one rounding must land at d* up to its draw resolution
+    qmap = QuadraticMap([np.diag([1.0, delta]), np.diag([delta, 1.0]),
+                         np.array([[1.0, 1.0 - delta], [1.0 - delta, 1.0]])])
+    X = np.eye(2) / 2
+    prec = precondition(qmap)
+    Xh = prec.push_witness(X / np.einsum("kij,ij->", qmap.Q, X))
+    a = hull_point_from_witness(prec.hat, Xh)
+    d_star = (float(a.values @ np.log(a.values))
+              - sphere_max_oracle(prec.hat, a, GaussianSampler(1)))
+    assert 0.05 < d_star < 0.06
+    out = round_rank_one(prec, Xh, GaussianSampler(1), budget=1000)
+    assert d_star - 1e-12 <= out.kl <= d_star + 1e-6
 
 
 def test_round_rank_one_certificate_and_determinism():

@@ -23,21 +23,51 @@ def test_sphere_oracle_trivials(sampler):
     qmap1 = QuadraticMap([np.diag([1.0, 1.5, 2.0])])
     val = sphere_max_oracle(qmap1, SimplexVector([1.0]), sampler)
     assert val == pytest.approx(math.log(2.0), abs=1e-8)
-    # n = 2 grid branch
+    # n = 2 grid starts
     qmap2 = QuadraticMap([np.diag([1.0, 2.0])])
     val2 = sphere_max_oracle(qmap2, SimplexVector([1.0]), sampler)
     assert val2 == pytest.approx(math.log(2.0), abs=1e-10)
 
 
-def test_sphere_oracle_grid_vs_ascent():
-    # the two independent methods agree on n = 2 instances
+def _grid_sphere_max(qmap, alpha):
+    """Reference n = 2 sphere maximum: 10^6 equispaced angles on [0, pi)."""
+    theta = np.linspace(0.0, math.pi, 10 ** 6, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
+    total = np.zeros(theta.size)
+    for i in range(qmap.k):
+        Q = qmap.Q[i]
+        q = Q[0, 0] * c * c + 2.0 * Q[0, 1] * c * s + Q[1, 1] * s * s
+        total += alpha.values[i] * np.log(q)
+    return float(total.max())
+
+
+def test_sphere_oracle_against_dense_grid():
+    # the n = 2 oracle is exact to roundoff: never below the dense grid,
+    # and above it by at most the grid's resolution error
     for trial in range(5):
         qmap = make_map(300 + trial, 2, 3)
         alpha = make_simplex(400 + trial, 3)
-        s_grid = sphere_max_oracle(qmap, alpha, GaussianSampler(1))
-        s_asc = sphere_max_oracle(qmap, alpha, GaussianSampler(2),
-                                  force_ascent=True)
-        assert s_asc == pytest.approx(s_grid, abs=1e-5)
+        grid = _grid_sphere_max(qmap, alpha)
+        val = sphere_max_oracle(qmap, alpha, GaussianSampler(1))
+        assert grid - 1e-12 <= val <= grid + 1e-9
+
+
+def test_sphere_oracle_constant_map_caps_ascents(monkeypatch):
+    # a constant map makes nearly every grid angle a peak; the oracle still
+    # starts at most _ORACLE_RESTARTS ascents
+    calls = []
+    ascend = verify_mod._ascend
+
+    def counting(*args):
+        calls.append(1)
+        return ascend(*args)
+
+    monkeypatch.setattr(verify_mod, "_ascend", counting)
+    qmap = QuadraticMap([np.eye(2)] * 3)
+    val = sphere_max_oracle(qmap, SimplexVector([1 / 3] * 3),
+                            GaussianSampler(1))
+    assert val == pytest.approx(0.0, abs=1e-10)
+    assert 1 <= len(calls) <= verify_mod._ORACLE_RESTARTS
 
 
 def test_check_sandwich_trivial_and_random(sampler):

@@ -1,11 +1,11 @@
 """The numerical tolerances of the library, in one table.
 
-DEFAULTS is the one place these numbers live, with the solver's iteration
-cap and the default rounding budgets. Each tolerance is read, at the point
-of use, by the one operation that needs it; no function takes a tolerance
-as an argument, so nothing overrides the table per call. Only the gap
-tolerance and the budgets (the --tol and --budget options) are arguments,
-and they default to the values here.
+DEFAULTS is the one place these numbers live, with the default rounding
+budgets. Each tolerance is read, at the point of use, by the one operation
+that needs it; no function takes a tolerance as an argument, so nothing
+overrides the table per call. Only the gap tolerance and the budgets (the
+--tol and --budget options) are arguments, and they default to the values
+here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class Tolerances:
 
     # entropic SDP solver
     fw_gap: float = 1e-6               # Frank-Wolfe gap termination threshold
-    fw_max_iters: int = 5000
     line_search: float = 1e-12         # bisection width on the step parameter
 
     # randomized rounding

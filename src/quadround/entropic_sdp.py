@@ -16,13 +16,15 @@ function gamma -> f((1 - gamma) X + gamma v v')).
 Plain Frank-Wolfe alternates between near-parallel vertices when the
 maximizer is rank deficient and its gap then decays like 1/t, which is far
 too slow for the 1e-6 termination threshold. Each iteration therefore ends
-with a polish phase: writing X = Y Y' with ||Y||_F = 1 turns the feasible
-set into the Frobenius unit sphere, on which the objective has Riemannian
-gradient 2 (G Y - Y); monotone backtracking ascent steps in Y converge to
-the same KKT points (G Y = Y) without any feasibility boundary, and the
-combined iteration reaches the threshold in a handful of outer steps. The
-polish never decreases the objective and preserves feasibility exactly, so
-the per-iteration monotonicity and the gap certificate are unaffected.
+with a polish: writing X = Y Y' / ||Y||_F^2 over a square factor Y removes
+the feasibility boundary, and one L-BFGS-B run on the scale-invariant
+ln ||Y||_F^2 - sum_i alpha_i ln <Q_i, Y Y'> climbs to a KKT point (G Y = Y).
+The FW vertex step stays as its warm start, which is exact in one step on
+a rank-one optimum; typically one outer step meets the threshold. The
+polish never decreases the objective and returns a feasible point, so the
+per-iteration monotonicity and the gap certificate are unaffected. When
+roundoff keeps the gap above the tolerance, an outer step that no longer
+raises the objective stops the solve, flagged as not converged.
 
 The optimum is generally not attained at an iterate exactly; the returned
 gap is a true suboptimality certificate (value >= optimum - fw_gap) and is
@@ -32,9 +34,12 @@ their constants.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .config import DEFAULTS
 from .linalg import sym_eigen
@@ -45,12 +50,13 @@ from .quadmap import QuadraticMap, SimplexVector
 class SdpSolution:
     """Solver output: the point, its value, and the optimality certificate.
 
-    X_star is the solver's array Y Y' with ||Y||_F = 1, PSD with unit trace
-    by construction. rescale holds tau_i = 1 / <Q_i, X_star>, the positive
-    factors that make the rescaled forms satisfy <tau_i Q_i, X_star> = 1;
-    rounding uses them directly. converged is False when the iteration cap
-    was reached with the gap still above tolerance. objective_trace records
-    the objective at every outer iteration.
+    X_star is the solver's last iterate, Y Y' / trace(Y Y') after a
+    polish, PSD with unit trace by construction. rescale holds
+    tau_i = 1 / <Q_i, X_star>, the positive factors that make the rescaled
+    forms satisfy <tau_i Q_i, X_star> = 1; rounding uses them directly.
+    converged is False when the solve stopped on a stalled objective with
+    the gap still above tolerance. objective_trace records the objective
+    at every outer iteration.
     """
 
     X_star: np.ndarray
@@ -115,86 +121,71 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
 
 def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
                    X: np.ndarray) -> np.ndarray:
-    """Monotone ascent of f(Y Y') over ||Y||_F = 1 starting at Y = X^(1/2).
+    """Ascent of f(Y Y' / ||Y||_F^2) over the n x n factor Y from Y = X^(1/2).
 
-    At most 200 steps of backtracking (Armijo) projected gradient ascent;
-    the Riemannian gradient at Y is 2 (G Y - Y) because <2 G Y, Y> =
-    2 <G, X> = 2. Returns a feasible X whose objective is at least the
-    input's.
+    L-BFGS-B minimizes ln ||Y||_F^2 - sum_i alpha_i ln <Q_i, Y Y'>, which is
+    scale invariant, so the iterates need no projection onto the sphere;
+    its gradient is 2 (Y / ||Y||_F^2 - G Y) with G = sum_i (alpha_i / q_i)
+    Q_i. Returns Y Y' / trace, symmetrized, or the input X if that value is
+    lower, so the objective never decreases.
     """
-    w, V = sym_eigen(X)
-    Y = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    nrm = float(np.linalg.norm(Y))
-    if nrm == 0.0:
-        return X
-    Y = Y / nrm
+    n, al = qmap.n, alpha.values
+    Qflat = qmap.Q.reshape(qmap.k, n * n)
 
-    Xcur = Y @ Y.T
-    val = objective(qmap, alpha, Xcur)
-    step = 1.0
-    for _ in range(200):
-        G = gradient(qmap, alpha, Xcur)
-        R = 2.0 * (G @ Y - Y)
-        rn = float(np.linalg.norm(R))
-        if rn < 1e-14:
-            break
-        improved = False
-        for _ in range(40):
-            Yt = Y + step * R
-            Yt = Yt / np.linalg.norm(Yt)
-            Xt = Yt @ Yt.T
-            vt = objective(qmap, alpha, Xt)
-            if vt > val + 1e-4 * step * rn * rn:
-                Y, val, Xcur = Yt, vt, Xt
-                improved = True
-                step *= 1.3
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return 0.5 * (Xcur + Xcur.T)
+    def neg(y):
+        Y = y.reshape(n, n)
+        q = Qflat @ (Y @ Y.T).ravel()
+        G = ((al / q) @ Qflat).reshape(n, n)
+        sq = float(y @ y)
+        grad = 2.0 * (Y / sq - G @ Y)
+        return math.log(sq) - float(al @ np.log(q)), grad.ravel()
+
+    w, V = sym_eigen(X)
+    Y0 = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    res = minimize(neg, Y0.ravel(), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-14, "ftol": 1e-16, "maxiter": 400})
+    Y = res.x.reshape(n, n)
+    Xt = Y @ Y.T
+    Xt = 0.5 * (Xt + Xt.T) / np.trace(Xt)
+    if objective(qmap, alpha, Xt) < objective(qmap, alpha, X):
+        return X
+    return Xt
 
 
 def solve(qmap: QuadraticMap, alpha: SimplexVector,
           tol: float = DEFAULTS.fw_gap) -> SdpSolution:
     """Frank-Wolfe with exact line search and sphere polish; X_0 = I / n.
 
-    Terminates when the gap <G, v v' - X> drops to tol or after
-    DEFAULTS.fw_max_iters outer iterations (then converged=False; the result
-    is still feasible and certified by its gap). The objective is
-    nondecreasing across iterations, asserted per step.
+    Terminates when the gap <G, v v' - X> drops to tol (converged=True) or
+    when an outer step did not raise the objective (converged=False; the
+    result is still feasible and certified by its gap). Every step that does
+    not stop strictly raises a float objective that is bounded above, so
+    the loop ends. The objective is nondecreasing across iterations,
+    asserted per step.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if alpha.k != qmap.k:
         raise ValueError("weight vector length must match the number of forms")
-    max_iters = DEFAULTS.fw_max_iters
     n = qmap.n
     Qstack = qmap.Q
     al = alpha.values
     X = np.eye(n) / n
     trace_log: list[float] = []
-    gap = np.inf
-    iterations = 0
-    converged = False
     prev_val = -np.inf
-    for it in range(max_iters + 1):
+    for it in itertools.count():
         val = objective(qmap, alpha, X)
         if val < prev_val - 1e-12:
             raise AssertionError(
                 f"objective decreased from {prev_val!r} to {val!r} at iteration {it}")
-        prev_val = val
         trace_log.append(val)
         G = gradient(qmap, alpha, X)
         wG, VG = sym_eigen(G)
         v = VG[:, -1]
         gap = float(wG[-1] - np.sum(G * X))
-        iterations = it
-        if gap <= tol:
-            converged = True
+        if gap <= tol or val <= prev_val:
             break
-        if it == max_iters:
-            break
+        prev_val = val
         c = _inner_values(Qstack, X)
         d = np.einsum("kij,i,j->k", Qstack, v, v)
         gamma = _line_search(al, c, d)
@@ -205,9 +196,9 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
         X_star=X,
         value=objective(qmap, alpha, X),
         fw_gap=gap,
-        iterations=iterations,
+        iterations=it,
         rescale=1.0 / _inner_values(Qstack, X),
-        converged=converged,
+        converged=gap <= tol,
         objective_trace=trace_log,
     )
 

@@ -193,6 +193,22 @@ def test_round_digest_independent_of_threads_across_blocks(tmp_path):
         assert len(digests) == 1, mode
 
 
+def test_round_unreachable_tol_stops_unconverged(tmp_path):
+    # no float iterate meets a 1e-300 gap: the solver's stall stop ends the
+    # solve in a few steps, the result says so, and the certificate holds
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "8", "--k", "5", "--seed", "3",
+            "--witness-random", "--out", str(inst))
+    res = tmp_path / "res.json"
+    assert run_cli("--quiet", "round", str(inst), "--rank-one", "--budget",
+                   "50", "--tol", "1e-300", "--seed", "1",
+                   "--out", str(res)) == 0
+    doc = json.loads(res.read_text())
+    assert doc["sdp_converged"] is False
+    assert doc["sdp_iterations"] <= 5
+    assert doc["kl"] <= doc["bound"] + doc["fw_gap"]
+
+
 def test_round_instance_digest_is_file_sha256(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "17",

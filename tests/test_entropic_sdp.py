@@ -1,12 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-import quadround.entropic_sdp as entropic_sdp
-from quadround import (DEFAULTS, GaussianSampler, QuadraticMap, SimplexVector,
-                       gradient, objective, precondition, solve)
+from quadround import (GaussianSampler, QuadraticMap, SimplexVector, gradient,
+                       hull_point_from_witness, objective, precondition, solve)
+from quadround.instances import random_map, random_witness
 
 from conftest import make_map, make_simplex
 
@@ -140,17 +139,37 @@ def test_solve_monotone_feasible_certified():
             assert val <= sol.value + sol.fw_gap + 1e-9
 
 
-def test_solve_iteration_cap_flag(monkeypatch):
-    # zero extra iterations allowed: must flag non-convergence on a
-    # non-trivial instance
-    monkeypatch.setattr(entropic_sdp, "DEFAULTS",
-                        dataclasses.replace(DEFAULTS, fw_max_iters=0))
-    qmap = make_map(5000, 4, 3)
-    alpha = make_simplex(5001, 3)
-    sol = solve(qmap, alpha)
-    assert not sol.converged
-    assert sol.fw_gap > 1e-6
-    assert sol.iterations == 0
+def test_solve_stall_stop_flags_non_convergence():
+    # a gap tolerance below roundoff: the solve ends within a few outer
+    # steps at the value of the tol = 1e-6 solve, either on a gap that
+    # rounds to <= 1e-300 or on the stall stop, and converged says which.
+    # On (5021, 5, 8) the gap stalls near 2e-10, so the flag must be False.
+    for seed, n, k, stalls in [(5000, 4, 3, False), (5021, 5, 8, True)]:
+        qmap = make_map(seed, n, k)
+        alpha = make_simplex(seed + 1, k)
+        sol = solve(qmap, alpha, tol=1e-300)
+        assert sol.iterations <= 3
+        assert abs(sol.value - solve(qmap, alpha, tol=1e-6).value) <= 1e-12
+        assert sol.converged == (sol.fw_gap <= 1e-300)
+        if stalls:
+            assert not sol.converged
+            assert sol.fw_gap > 0.0
+
+
+@pytest.mark.parametrize("cap", [1e2, 1e6])
+def test_solve_tail_case_converges_in_one_polish(cap):
+    # preconditioned n = 4, k = 10 instance with a full-rank optimum (the
+    # witness is drawn from the parent stream), the slow case for a
+    # first-order polish: the factor's L-BFGS ascent must reach the gap
+    # tolerance within two outer steps
+    s = GaussianSampler(1038)
+    qmap = random_map(s, 4, 10, cap)
+    prec = precondition(qmap)
+    Xh = prec.push_witness(random_witness(s, qmap))
+    sol = solve(prec.hat, hull_point_from_witness(prec.hat, Xh))
+    assert sol.converged
+    assert sol.iterations <= 2
+    assert sol.fw_gap <= 1e-6
 
 
 def test_objective_fails_loudly_on_invariant_breach():

@@ -136,12 +136,13 @@ def test_round_rank_one_single_form_zero_kl():
     assert out.kl <= 1e-12
 
 
-@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
-def test_round_rank_one_attains_exact_distance_ellipse_centre(delta):
-    # known answer: for n = 2 the sphere oracle is exact to roundoff, so
-    # d* = sum_i a_i ln a_i - max_sphere sum_i a_i ln q_i is the distance
-    # from a to the image; the centre of this ellipse family sits 0.05-0.06
-    # away, and rank-one rounding must land at d* up to its draw resolution
+def _ellipse_centre(delta):
+    """The centre of an n = 2 ellipse family, with its exact distance d*.
+
+    For n = 2 the sphere oracle is exact to roundoff, so d* = sum_i a_i ln
+    a_i - max_sphere sum_i a_i ln q_i is the distance from a to the image.
+    Returns the preconditioned map, the transported witness and d*.
+    """
     qmap = QuadraticMap([np.diag([1.0, delta]), np.diag([delta, 1.0]),
                          np.array([[1.0, 1.0 - delta], [1.0 - delta, 1.0]])])
     X = np.eye(2) / 2
@@ -150,9 +151,30 @@ def test_round_rank_one_attains_exact_distance_ellipse_centre(delta):
     a = hull_point_from_witness(prec.hat, Xh)
     d_star = (float(a.values @ np.log(a.values))
               - sphere_max_oracle(prec.hat, a, GaussianSampler(1)))
+    return prec, Xh, d_star
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_round_rank_one_attains_exact_distance_ellipse_centre(delta):
+    # known answer: the centre sits 0.05-0.06 away from the image, and
+    # rank-one rounding must land at d* up to its draw resolution
+    prec, Xh, d_star = _ellipse_centre(delta)
     assert 0.05 < d_star < 0.06
     out = round_rank_one(prec, Xh, GaussianSampler(1), budget=1000)
     assert d_star - 1e-12 <= out.kl <= d_star + 1e-6
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_round_rank_m_known_answer_ellipse_centre(delta):
+    # m = 1 rounds to an image point, so kl >= d*, and lands within the
+    # measured 1.1e-5 to 1.6e-5 of it; m = 4 and 16 round to hull points,
+    # which can sit much closer to a (measured kl 4.1e-5 to 1.6e-4)
+    prec, Xh, d_star = _ellipse_centre(delta)
+    out = round_rank_m(prec, Xh, 1, GaussianSampler(1), budget=200)
+    assert d_star - 1e-12 <= out.kl <= d_star + 1e-4
+    for m in (4, 16):
+        out = round_rank_m(prec, Xh, m, GaussianSampler(1), budget=200)
+        assert 0.0 <= out.kl <= 5e-4, m
 
 
 def test_round_rank_one_certificate_and_determinism():

@@ -90,6 +90,27 @@ def test_check_sandwich_trivial_and_random(sampler):
         assert rep.excess <= 4.8
 
 
+def test_check_sandwich_near_rank_one_corpus():
+    # adversarial family Q_i = v_i v_i' + eps I, unit v_i in general
+    # position, k >> n, uniform a: the relaxation sits well above the sphere
+    # maximum (measured excess 0.20-0.67, the random corpus peaks below
+    # 0.01), and both sandwich inequalities must still hold
+    excess = []
+    for n in (2, 3, 4, 6):
+        for k in (40, 160):
+            for eps in (1e-2, 1e-4):
+                s = GaussianSampler(100 * n + k)
+                V = s.normals((k, n))
+                V /= np.linalg.norm(V, axis=1, keepdims=True)
+                qmap = QuadraticMap([np.outer(v, v) + eps * np.eye(n)
+                                     for v in V])
+                rep = check_sandwich(qmap, SimplexVector(np.full(k, 1.0 / k)),
+                                     s.substream(k + 1))
+                assert rep.lower_ok and rep.upper_ok, (n, k, eps)
+                excess.append(rep.excess)
+    assert max(excess) > 0.5
+
+
 def test_mc_abs_log_moment_rank_one():
     est = mc_abs_log_moment(SimplexVector([1.0]), 10 ** 5, GaussianSampler(1))
     assert abs(est.mean - 1.76) <= max(0.03, 3 * est.stderr)

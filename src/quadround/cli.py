@@ -221,7 +221,8 @@ def _report_rows(paths, accepted_only: bool):
                 "accepted": doc["accepted"],
                 "_sort": (doc.get("m") or 0, doc["instance_digest"]),
             })
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError,
+                json.JSONDecodeError) as exc:
             raise InstanceFormatError(f"malformed result file {path}: {exc}")
     rows.sort(key=lambda r: r["_sort"])
     return rows

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths it is checking. The
 sphere maximum of sum_i alpha_i ln q_i(x) is the best of one L-BFGS ascent
 from each of a few starts: the peaks of an angle grid for n = 2, random
 points for n >= 3 (a certified lower bound on the true maximum, which is all
-the relaxation sandwich needs). The probabilistic claims about
-Gaussian values of normalized forms are estimated by seeded Monte Carlo with
+the relaxation sandwich needs). Each ascent drives scipy's compiled
+L-BFGS-B core directly, with the same stop tests and the same iterates as
+``scipy.optimize.minimize``. The probabilistic claims about Gaussian
+values of normalized forms are estimated by seeded Monte Carlo with
 binomial or sample standard errors; diagonal forms suffice because the
 Gaussian measure is rotation invariant and the claims depend only on the
 spectrum. Each (form, m) is sampled in one pass that feeds every estimate
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from ._util import map_indexed
 from .bounds import (BoundReport, constants_report, laplace_tail_upper, phi,
@@ -84,9 +86,16 @@ def _ascend(Qstack: np.ndarray, al: np.ndarray, x0: np.ndarray) -> float:
     """One local ascent of sum_i al_i ln q_i on the unit sphere from x0.
 
     L-BFGS-B minimizes ln ||x||^2 - sum_i al_i ln q_i(x), which is scale
-    invariant, so the iterates need no projection. It stops when the largest
+    invariant, so the iterates need no projection. The loop drives scipy's
+    compiled L-BFGS-B core (setulb) itself, as scipy's _minimize_lbfgsb
+    does (memory 10, at most 20 line-search steps, no bounds), but without
+    the per-evaluation bookkeeping of ``minimize``. A request for f and g at
+    an unmoved x re-uses the last value, as ``minimize`` does, so the stop
+    tests, the iterates and the number of objective calls are those of
+    ``minimize(method="L-BFGS-B")`` bit for bit. It stops when the largest
     gradient entry is at most 1e-9 (gtol), when one step lowers the
-    objective by at most a relative 1e-16 (ftol), or after 400 iterations.
+    objective by at most a relative 1e-16 (ftol), when the line search
+    fails, after 400 iterations, or after 15 000 evaluations.
     The value returned is sum_i al_i ln q_i at the normalized end point: a
     certified lower bound on the sphere maximum whatever the optimizer's
     exit status. The stopping tests do not steer the iterates, so a tighter
@@ -101,9 +110,34 @@ def _ascend(Qstack: np.ndarray, al: np.ndarray, x0: np.ndarray) -> float:
         grad = 2.0 * (x / sq - np.einsum("k,kij,j->i", al / q, Qstack, x))
         return math.log(sq) - float(al @ np.log(q)), grad
 
-    res = minimize(neg, x0, jac=True, method="L-BFGS-B",
-                   options={"gtol": 1e-9, "ftol": 1e-16, "maxiter": 400})
-    x = res.x / np.linalg.norm(res.x)
+    n, m = x0.size, 10
+    x = np.array(x0, dtype=np.float64)
+    f, g = 0.0, np.zeros(n)
+    unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
+                           np.zeros(29))
+    factr = 1e-16 / np.finfo(float).eps
+    at = None                     # the point f and g were computed at
+    nit = nfev = 0
+    while True:
+        setulb(m, x, unbounded, unbounded, nbd, f, g, factr, 1e-9, wa, iwa,
+               task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:          # FG: f and g at x, re-used if x is unmoved
+            xs = x.tolist()
+            if xs != at:
+                f, g = neg(x)
+                at = xs
+                nfev += 1
+        elif task[0] == 1:        # NEW_X: one iteration done
+            nit += 1
+            if nit >= 400 or nfev > 15000:
+                break
+        else:                     # converged, or the line search failed
+            break
+    x /= np.linalg.norm(x)
     q = np.einsum("kij,i,j->k", Qstack, x, x)
     return float(np.sum(al * np.log(q)))
 

@@ -514,9 +514,16 @@ def test_report_empty_after_filter_and_malformed(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["n,k,m,kl,bound,margin,fw_gap,samples_drawn,accepted"]
 
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2")
-    assert run_cli("--quiet", "report", str(bad)) == 2
+    # truncated JSON, a JSON list, and a null where a number belongs
+    doc = json.loads(res.read_text())
+    doc["kl"] = None
+    for i, text in enumerate(("[1, 2", "[]", json.dumps(doc))):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        assert run_cli("--quiet", "report", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "error: malformed result file" in err
+        assert "Traceback" not in err
 
 
 def test_console_script_installed():

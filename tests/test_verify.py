@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -111,18 +112,21 @@ def _per_start_reference(qmap, alpha, sampler):
     return best
 
 
+def _sandwich_instance(seed, j):
+    """Instance j of suite_sandwich(seed): map, weights and oracle sampler."""
+    n, k = 2 + j % 5, 1 + (j // 5) % 5
+    s = verify_mod._derived_sampler(seed, j)
+    qmap = random_map(s, n, k, 100.0)
+    return qmap, verify_mod._simplex_from(s.substream(k + 1), k), s
+
+
 def test_sphere_oracle_matches_per_start_reference():
     # the oracle's stop rule loses nothing measurable against ascents run to
     # gtol 1e-14 from the same starts (measured within 9e-16; gtol 1e-5
     # would lose 4.7e-11), and each start keeps its own trajectory: one
     # stacked L-BFGS-B call over all starts ends up to 0.13 lower here
-    cases = []
-    for j in [j for j in range(100) if j % 5][:10]:
-        n, k = 2 + j % 5, 1 + (j // 5) % 5
-        s = verify_mod._derived_sampler(1, j)
-        qmap = random_map(s, n, k, 100.0)
-        cases.append((qmap, verify_mod._simplex_from(s.substream(k + 1), k),
-                      s))
+    cases = [_sandwich_instance(1, j)
+             for j in [j for j in range(100) if j % 5][:10]]
     for n in (3, 4, 6):
         for k in (40, 160):
             for eps in (1e-4, 1e-6):
@@ -133,6 +137,52 @@ def test_sphere_oracle_matches_per_start_reference():
         ref = _per_start_reference(qmap, alpha,
                                    GaussianSampler(s.seed, s.jumps))
         assert val >= ref - 1e-12, (qmap.n, qmap.k, val - ref)
+
+
+def test_ascend_matches_scipy_minimize_bit_for_bit(monkeypatch):
+    # _ascend drives scipy's L-BFGS-B core itself; from every start of the
+    # seed-1 sandwich instances (n = 2 grid peaks, n >= 3 random starts) and
+    # of the near-rank-one grid it ends at the value scipy.optimize.minimize
+    # ends at, calling the objective as often. A scipy release that changes
+    # the core's arguments or its iterates fails here.
+    starts = []
+    ascend = verify_mod._ascend
+    monkeypatch.setattr(verify_mod, "_ascend", lambda Q, al, x0: (
+        starts.append((Q, al, np.array(x0))) or 0.0))
+    cases = [_sandwich_instance(1, j)
+             for j in range(verify_mod._SANDWICH_INSTANCES)]
+    cases += [_near_rank_one(n, k, eps) for n in (2, 3, 4, 6, 8, 16)
+              for k in (40, 160) for eps in (1e-2, 1e-4, 1e-6)]
+    for qmap, alpha, s in cases:
+        sphere_max_oracle(qmap, alpha, s)
+    assert len(starts) > 2000
+
+    calls = [0]
+
+    def counting_log(v):
+        calls[0] += 1
+        return math.log(v)
+
+    # the objective calls math.log once per evaluation
+    monkeypatch.setattr(verify_mod, "math",
+                        types.SimpleNamespace(log=counting_log))
+    for Q, al, x0 in starts:
+        ref_calls = [0]
+
+        def neg(x):
+            ref_calls[0] += 1
+            q = np.einsum("kij,i,j->k", Q, x, x)
+            sq = float(x @ x)
+            grad = 2.0 * (x / sq - np.einsum("k,kij,j->i", al / q, Q, x))
+            return math.log(sq) - float(al @ np.log(q)), grad
+
+        res = minimize(neg, x0, jac=True, method="L-BFGS-B",
+                       options={"gtol": 1e-9, "ftol": 1e-16, "maxiter": 400})
+        x = res.x / np.linalg.norm(res.x)
+        ref = float(np.sum(al * np.log(np.einsum("kij,i,j->k", Q, x, x))))
+        calls[0] = 0
+        assert ascend(Q, al, x0) == ref, (Q.shape, res.message)
+        assert calls[0] == ref_calls[0] == res.nfev, res.message
 
 
 def test_check_sandwich_trivial_and_random(sampler):

@@ -26,6 +26,9 @@ per-iteration monotonicity and the gap certificate are unaffected. When
 roundoff keeps the gap above the tolerance, an outer step that no longer
 raises the objective stops the solve, flagged as not converged.
 
+One private routine computes <Q_i, X>, the objective and the gradient;
+objective, gradient, the solver and its polish all call it.
+
 The optimum is generally not attained at an iterate exactly; the returned
 gap is a true suboptimality certificate (value >= optimum - fw_gap) and is
 reported alongside all downstream distance bounds rather than folded into
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -51,12 +54,12 @@ class SdpSolution:
     """Solver output: the point, its value, and the optimality certificate.
 
     X_star is the solver's last iterate, Y Y' / trace(Y Y') after a
-    polish, PSD with unit trace by construction. rescale holds
-    tau_i = 1 / <Q_i, X_star>, the positive factors that make the rescaled
-    forms satisfy <tau_i Q_i, X_star> = 1; rounding uses them directly.
-    converged is False when the solve stopped on a stalled objective with
-    the gap still above tolerance. objective_trace records the objective
-    at every outer iteration.
+    polish, PSD with unit trace by construction. value and rescale come
+    from the one evaluation of X_star: value = sum_i alpha_i ln q_i and
+    rescale holds tau_i = 1 / q_i with q_i = <Q_i, X_star>, the positive
+    factors that make the rescaled forms satisfy <tau_i Q_i, X_star> = 1;
+    rounding uses them directly. converged is False when the solve stopped
+    on a stalled objective with the gap still above tolerance.
     """
 
     X_star: np.ndarray
@@ -65,32 +68,37 @@ class SdpSolution:
     iterations: int
     rescale: np.ndarray
     converged: bool
-    objective_trace: list = field(default_factory=list)
 
 
-def _inner_values(Qstack: np.ndarray, X: np.ndarray) -> np.ndarray:
-    vals = np.einsum("kij,ij->k", Qstack, X)
-    if np.any(vals <= 0.0):
+def _operands(qmap: QuadraticMap, alpha: SimplexVector):
+    """The (k, n^2) view of the form stack and the weights, checked to match."""
+    if alpha.k != qmap.k:
+        raise ValueError("weight vector length must match the number of forms")
+    return qmap.Q.reshape(qmap.k, -1), alpha.values
+
+
+def _evaluate(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
+    """q_i = <Q_i, X>, f = sum_i al_i ln q_i and G = sum_i (al_i / q_i) Q_i.
+
+    Qflat is the (k, n^2) view of the forms; X need not have unit trace.
+    A q_i <= 0 breaches positive definiteness and raises AssertionError.
+    """
+    q = Qflat @ X.ravel()
+    if np.any(q <= 0.0):
         raise AssertionError(
             "some <Q_i, X> <= 0 on the spectahedron; the positive "
             "definiteness invariant was breached upstream")
-    return vals
+    return q, float(al @ np.log(q)), ((al / q) @ Qflat).reshape(X.shape)
 
 
 def objective(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> float:
     """sum_i alpha_i ln <Q_i, X>; finite by positive definiteness."""
-    if alpha.k != qmap.k:
-        raise ValueError("weight vector length must match the number of forms")
-    vals = _inner_values(qmap.Q, X)
-    return float(np.sum(alpha.values * np.log(vals)))
+    return _evaluate(*_operands(qmap, alpha), X)[1]
 
 
 def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> np.ndarray:
     """Exact differential sum_i (alpha_i / <Q_i, X>) Q_i; positive definite."""
-    if alpha.k != qmap.k:
-        raise ValueError("weight vector length must match the number of forms")
-    vals = _inner_values(qmap.Q, X)
-    return np.einsum("k,kij->ij", alpha.values / vals, qmap.Q)
+    return _evaluate(*_operands(qmap, alpha), X)[2]
 
 
 def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
@@ -119,26 +127,22 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
-                   X: np.ndarray) -> np.ndarray:
+def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
     """Ascent of f(Y Y' / ||Y||_F^2) over the n x n factor Y from Y = X^(1/2).
 
-    L-BFGS-B minimizes ln ||Y||_F^2 - sum_i alpha_i ln <Q_i, Y Y'>, which is
-    scale invariant, so the iterates need no projection onto the sphere;
-    its gradient is 2 (Y / ||Y||_F^2 - G Y) with G = sum_i (alpha_i / q_i)
-    Q_i. Returns Y Y' / trace, symmetrized, or the input X if that value is
-    lower, so the objective never decreases.
+    L-BFGS-B minimizes ln ||Y||_F^2 - f(Y Y'), which is scale invariant, so
+    the iterates need no projection onto the sphere; its gradient is
+    2 (Y / ||Y||_F^2 - G Y) with f and G from _evaluate at Y Y'. Returns
+    Y Y' / trace, symmetrized, with its evaluation, or X with its
+    evaluation if that value is higher, so the objective never decreases.
     """
-    n, al = qmap.n, alpha.values
-    Qflat = qmap.Q.reshape(qmap.k, n * n)
+    n = X.shape[0]
 
     def neg(y):
         Y = y.reshape(n, n)
-        q = Qflat @ (Y @ Y.T).ravel()
-        G = ((al / q) @ Qflat).reshape(n, n)
+        _, f, G = _evaluate(Qflat, al, Y @ Y.T)
         sq = float(y @ y)
-        grad = 2.0 * (Y / sq - G @ Y)
-        return math.log(sq) - float(al @ np.log(q)), grad.ravel()
+        return math.log(sq) - f, (2.0 * (Y / sq - G @ Y)).ravel()
 
     w, V = sym_eigen(X)
     Y0 = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
@@ -147,9 +151,10 @@ def _sphere_polish(qmap: QuadraticMap, alpha: SimplexVector,
     Y = res.x.reshape(n, n)
     Xt = Y @ Y.T
     Xt = 0.5 * (Xt + Xt.T) / np.trace(Xt)
-    if objective(qmap, alpha, Xt) < objective(qmap, alpha, X):
-        return X
-    return Xt
+    before, after = _evaluate(Qflat, al, X), _evaluate(Qflat, al, Xt)
+    if after[1] < before[1]:
+        return X, before
+    return Xt, after
 
 
 def solve(qmap: QuadraticMap, alpha: SimplexVector,
@@ -161,44 +166,34 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
     result is still feasible and certified by its gap). Every step that does
     not stop strictly raises a float objective that is bounded above, so
     the loop ends. The objective is nondecreasing across iterations,
-    asserted per step.
+    asserted per step. Each iterate is evaluated once.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if alpha.k != qmap.k:
-        raise ValueError("weight vector length must match the number of forms")
-    n = qmap.n
-    Qstack = qmap.Q
-    al = alpha.values
-    X = np.eye(n) / n
-    trace_log: list[float] = []
+    Qflat, al = _operands(qmap, alpha)
+    X = np.eye(qmap.n) / qmap.n
+    q, val, G = _evaluate(Qflat, al, X)
     prev_val = -np.inf
     for it in itertools.count():
-        val = objective(qmap, alpha, X)
         if val < prev_val - 1e-12:
             raise AssertionError(
                 f"objective decreased from {prev_val!r} to {val!r} at iteration {it}")
-        trace_log.append(val)
-        G = gradient(qmap, alpha, X)
         wG, VG = sym_eigen(G)
         v = VG[:, -1]
         gap = float(wG[-1] - np.sum(G * X))
         if gap <= tol or val <= prev_val:
             break
         prev_val = val
-        c = _inner_values(Qstack, X)
-        d = np.einsum("kij,i,j->k", Qstack, v, v)
-        gamma = _line_search(al, c, d)
-        X = (1.0 - gamma) * X + gamma * np.outer(v, v)
-        X = _sphere_polish(qmap, alpha, X)
+        vertex = np.outer(v, v)
+        gamma = _line_search(al, q, _evaluate(Qflat, al, vertex)[0])
+        X, (q, val, G) = _sphere_polish(Qflat, al,
+                                        (1.0 - gamma) * X + gamma * vertex)
 
     return SdpSolution(
         X_star=X,
-        value=objective(qmap, alpha, X),
+        value=val,
         fw_gap=gap,
         iterations=it,
-        rescale=1.0 / _inner_values(Qstack, X),
+        rescale=1.0 / q,
         converged=gap <= tol,
-        objective_trace=trace_log,
     )
-

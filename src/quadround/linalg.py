@@ -17,6 +17,8 @@ validation gate for user-supplied quadratic forms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULTS
@@ -34,6 +36,20 @@ class EigenConvergenceError(LinalgError):
     """The symmetric eigensolver failed to meet its residual contract."""
 
 
+def fro_norm(a) -> float:
+    """Frobenius norm that does not overflow on entries beyond 1e154.
+
+    The array is first scaled by the power of two just above its largest
+    |entry|, which is exact, so wherever np.linalg.norm is finite and no
+    entry is subnormal after scaling, the two agree bit for bit.
+    """
+    top = float(np.max(np.abs(a), initial=0.0))
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
+
+
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric array with residual verification.
 
@@ -48,12 +64,12 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenConvergenceError(str(exc)) from exc
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    resid = float(np.linalg.norm(a @ v - v * w))
+    scale = max(fro_norm(a), 1e-300)
+    resid = fro_norm(a @ v - v * w)
     if resid > tol * scale:
         raise EigenConvergenceError(
             f"eigen residual {resid:.3e} exceeds {tol:.1e} * ||A||_F")
-    ortho = float(np.linalg.norm(v.T @ v - np.eye(a.shape[0])))
+    ortho = fro_norm(v.T @ v - np.eye(a.shape[0]))
     if ortho > tol * max(1.0, scale):
         raise EigenConvergenceError(f"eigenvector basis not orthonormal: {ortho:.3e}")
     return w, v
@@ -70,8 +86,8 @@ def cholesky(a) -> np.ndarray:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    resid = float(np.linalg.norm(L @ L.T - a))
+    scale = max(fro_norm(a), 1e-300)
+    resid = fro_norm(L @ L.T - a)
     if resid > DEFAULTS.cholesky_relative * scale:
         raise LinalgError(f"cholesky residual {resid:.3e} out of tolerance")
     return L
@@ -88,14 +104,14 @@ def sqrt_psd(a) -> np.ndarray:
     """
     clamp = DEFAULTS.psd_clamp
     w, v = sym_eigen(a)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
+    scale = max(fro_norm(a), 1e-300)
     if w[0] < -clamp * scale:
         raise NotPositiveDefinite(
             f"eigenvalue {w[0]:.3e} below -{clamp:.1e} * ||A||_F")
     w = np.clip(w, 0.0, None)
     T = (v * np.sqrt(w)) @ v.T
     T = 0.5 * (T + T.T)
-    resid = float(np.linalg.norm(T @ T - a))
+    resid = fro_norm(T @ T - a)
     if resid > DEFAULTS.sqrt_residual * max(1.0, scale):
         raise LinalgError(f"sqrt residual {resid:.3e} out of tolerance")
     return T
@@ -113,7 +129,7 @@ def inverse_spd(a) -> np.ndarray:
     y = np.linalg.solve(L, np.eye(n))
     inv = np.linalg.solve(L.T, y)
     inv = 0.5 * (inv + inv.T)
-    resid = float(np.linalg.norm(a @ inv - np.eye(n)))
+    resid = fro_norm(a @ inv - np.eye(n))
     if resid > DEFAULTS.inverse_residual:
         raise LinalgError(f"inverse residual {resid:.3e} out of tolerance")
     return inv

@@ -26,8 +26,8 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .linalg import (NotPositiveDefinite, cholesky, inverse_spd, sqrt_psd,
-                     sym_eigen)
+from .linalg import (NotPositiveDefinite, cholesky, fro_norm, inverse_spd,
+                     sqrt_psd, sym_eigen)
 
 
 def _sym_array(mat) -> np.ndarray:
@@ -94,7 +94,7 @@ class SpectahedronPoint:
     def __init__(self, mat):
         X = _sym_array(mat)
         w, _ = sym_eigen(X)
-        scale = max(float(np.linalg.norm(X)), 1e-300)
+        scale = max(fro_norm(X), 1e-300)
         if w[0] < -DEFAULTS.psd_check * scale:
             raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
         tr = float(np.trace(X))
@@ -391,7 +391,7 @@ def instance_from_json(doc: dict):
         X = _sym_array(_parse_array(wit["X"], "witness X", (n, n)))
         # Validate PSD and the unit-sum normalization against the map.
         w, _ = sym_eigen(X)
-        if w[0] < -DEFAULTS.psd_check * max(float(np.linalg.norm(X)), 1e-300):
+        if w[0] < -DEFAULTS.psd_check * max(fro_norm(X), 1e-300):
             raise InstanceFormatError(f"witness X is not PSD (min eig {w[0]:.3e})")
         total = float(np.einsum("kij,ij->", qmap.Q, X))
         if abs(total - 1.0) > DEFAULTS.simplex_sum:
@@ -400,8 +400,8 @@ def instance_from_json(doc: dict):
         return qmap, X / total
     if "points" in wit:
         try:
-            pts = [_parse_array(p, "witness point") for p in wit["points"]]
-            wts = _parse_array(wit["weights"], "witness weights")
+            pts = [_parse_array(p, "witness point", (n,)) for p in wit["points"]]
+            wts = _parse_array(wit["weights"], "witness weights", (len(pts),))
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"malformed combination witness: {exc}") from exc
         try:

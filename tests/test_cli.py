@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ def test_round_points_witness(tmp_path, mode):
             rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("mode", [["--rank-one"], ["--rank-m", "4"]])
+def test_round_huge_forms_without_warning(tmp_path, capsys, mode):
+    # forms 1e200 I: the Frobenius norms of the contract checks would
+    # overflow if squared unscaled; the map rounds and nothing is printed
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps({"n": 2, "k": 2,
+                                "Q": [(1e200 * np.eye(2)).tolist()] * 2}))
+    res = tmp_path / "res.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("--quiet", "round", str(inst), *mode, "--budget", "50",
+                       "--seed", "1", "--witness-random", "--out", str(res))
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    assert json.loads(res.read_text())["accepted"]
+
+
 def test_round_kl_reverifies_on_reload(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "21",
@@ -257,7 +276,7 @@ def test_round_missing_witness_exit2(tmp_path):
                    "--witness-random", "--out", str(res)) == 0
 
 
-def test_round_parse_and_invalid_instance_exits(tmp_path):
+def test_round_parse_and_invalid_instance_exits(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed", "1") == 2
@@ -293,7 +312,8 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
                  # malformed points witnesses: a 2-vector for n = 1, two
                  # weights for one point, weights that do not sum to 1, a
                  # number for the points, no weights, no points, ragged
-                 # points, a negative weight
+                 # points, a negative weight, a nested point, a number as
+                 # the point, a number for the weights, 2-D weights
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
                  '"witness": {"points": [[1.0, 2.0]], "weights": [1.0]}}',
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
@@ -312,10 +332,21 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
                  '"witness": {"points": [[1.0], [2.0]], '
                  '"weights": [1.5, -0.5]}}',
-                 # malformed matrix witnesses: not PSD, trace 2, the wrong
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[[1.0]]], "weights": [1.0]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [1.0], "weights": [1.0]}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0]], "weights": 1.0}}',
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], '
+                 '"witness": {"points": [[1.0]], "weights": [[1.0]]}}',
+                 # malformed matrix witnesses: not PSD, not PSD with
+                 # entries whose squares overflow, trace 2, the wrong
                  # shape, a number, an object with neither X nor points
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[1.5, 0.0], [0.0, -0.5]]}}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {"X": [[0.5, 1e200], [1e200, 0.5]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[1.0, 0.0], [0.0, 1.0]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
@@ -327,6 +358,8 @@ def test_round_parse_and_invalid_instance_exits(tmp_path):
         bad.write_text(text)
         assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed",
                        "1", "--witness-random", "--budget", "5") == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, text
 
     notpd = tmp_path / "notpd.json"
     notpd.write_text(json.dumps(
@@ -454,7 +487,7 @@ def test_round_quiet_after_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize("module, attr, exc", [
     (rounding_mod, "sqrt_psd", LinalgError("sqrt residual out of tolerance")),
-    (sdp_mod, "_inner_values", AssertionError("some <Q_i, X> <= 0")),
+    (sdp_mod, "_evaluate", AssertionError("some <Q_i, X> <= 0")),
     (rounding_mod, "kl_divergence", AssertionError("KL came out -1e-03")),
     (cli_mod, "random_witness", ArithmeticError("degenerate Wishart draw")),
     # a quadrature error estimate above DEFAULTS.quad_abs

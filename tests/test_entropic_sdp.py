@@ -5,9 +5,10 @@ import pytest
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector, gradient,
                        hull_point_from_witness, objective, precondition, solve)
+import quadround.entropic_sdp as sdp_mod
 from quadround.instances import random_map, random_witness
 
-from conftest import make_map, make_simplex
+from conftest import make_map, make_simplex, near_rank_one, sandwich_instance
 
 
 def test_objective_examples():
@@ -37,7 +38,7 @@ def test_gradient_examples():
 
 def test_gradient_matches_finite_differences():
     # central differences along random trace-zero symmetric directions; the
-    # solver and its sphere polish call these same two functions
+    # solver and its sphere polish evaluate f and G with the same routine
     sampler = GaussianSampler(41)
     checked = 0
     for trial in range(20):
@@ -116,8 +117,6 @@ def test_solve_monotone_feasible_certified():
         alpha = make_simplex(4000 + trial, k)
         sol = solve(qmap, alpha)
         assert sol.converged and sol.fw_gap <= 1e-6
-        trace = sol.objective_trace
-        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
         # feasibility of the returned point
         X = sol.X_star
         assert np.array_equal(X, X.T)
@@ -137,6 +136,36 @@ def test_solve_monotone_feasible_certified():
             x /= np.linalg.norm(x)
             val = objective(qmap, alpha, np.outer(x, x))
             assert val <= sol.value + sol.fw_gap + 1e-9
+
+
+def test_solve_asserts_monotone_objective(monkeypatch):
+    # a polish that lowers the objective trips the per-step guard; every
+    # other solve in the suite runs under the same 1e-12 guard
+    qmap = make_map(3001, 3, 4)
+    alpha = make_simplex(4001, 4)
+    start = objective(qmap, alpha, np.eye(3) / 3)
+    # by concavity the worst coordinate vertex is below f(I / n)
+    worst = min((np.diag(e) for e in np.eye(3)),
+                key=lambda V: objective(qmap, alpha, V))
+    assert objective(qmap, alpha, worst) < start - 1e-3
+
+    def lowering(Qflat, al, X):
+        return worst, sdp_mod._evaluate(Qflat, al, worst)
+
+    monkeypatch.setattr(sdp_mod, "_sphere_polish", lowering)
+    with pytest.raises(AssertionError, match="objective decreased"):
+        solve(qmap, alpha)
+
+
+def test_solve_reports_value_of_returned_point():
+    # value is the objective at X_star itself, never an earlier iterate's
+    cases = [sandwich_instance(seed, j)[:2]
+             for seed in (1, 2, 3) for j in range(100)]
+    cases += [near_rank_one(n, k, eps)[:2] for n in (2, 3, 4, 6, 8, 16)
+              for k in (40, 160) for eps in (1e-2, 1e-4, 1e-6)]
+    for qmap, alpha in cases:
+        sol = solve(qmap, alpha)
+        assert sol.value == objective(qmap, alpha, sol.X_star)
 
 
 def test_solve_stall_stop_flags_non_convergence():

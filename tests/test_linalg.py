@@ -5,7 +5,7 @@ import pytest
 
 from quadround import (GaussianSampler, LinalgError, NotPositiveDefinite,
                        cholesky, inverse_spd, sqrt_psd, sym_eigen)
-from quadround.linalg import EigenConvergenceError
+from quadround.linalg import EigenConvergenceError, fro_norm
 
 
 def _sym(sampler, n):
@@ -121,3 +121,17 @@ def test_inverse_spd():
     with pytest.raises(NotPositiveDefinite):
         inverse_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+
+def test_checks_scale_without_overflow(sampler):
+    # squares of entries beyond 1e154 overflow; an overflowed scale would
+    # let every relative check pass, so this indefinite matrix must still
+    # be refused, and 1e200 I still factors
+    big = np.array([[0.5, 1e200], [1e200, 0.5]])
+    assert fro_norm(big) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    with pytest.raises(NotPositiveDefinite):
+        sqrt_psd(big)
+    assert np.allclose(cholesky(1e200 * np.eye(3)), 1e100 * np.eye(3))
+    # on ordinary input the scaled norm is np.linalg.norm bit for bit
+    for n in (1, 4, 30):
+        a = _sym(sampler, n) * 10.0 ** (n - 10)
+        assert fro_norm(a) == float(np.linalg.norm(a))

@@ -12,9 +12,8 @@ import quadround.verify as verify_mod
 from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
                               suite_lemma21, suite_lemma51, suite_sandwich,
                               tail_indicator)
-from quadround.instances import random_map
 
-from conftest import make_map, make_simplex
+from conftest import make_map, make_simplex, near_rank_one, sandwich_instance
 
 
 def test_sphere_oracle_trivials(sampler):
@@ -73,16 +72,6 @@ def test_sphere_oracle_constant_map_caps_ascents(monkeypatch):
     assert 1 <= len(calls) <= verify_mod._ORACLE_RESTARTS
 
 
-def _near_rank_one(n, k, eps):
-    """Q_i = v_i v_i' + eps I with unit v_i in general position, uniform a,
-    and the sampler the oracle draws its starts from."""
-    s = GaussianSampler(100 * n + k)
-    V = s.normals((k, n))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    qmap = QuadraticMap([np.outer(v, v) + eps * np.eye(n) for v in V])
-    return qmap, SimplexVector(np.full(k, 1.0 / k)), s.substream(k + 1)
-
-
 def _per_start_reference(qmap, alpha, sampler):
     """Best of one converged L-BFGS-B ascent per oracle start (n >= 3).
 
@@ -112,25 +101,17 @@ def _per_start_reference(qmap, alpha, sampler):
     return best
 
 
-def _sandwich_instance(seed, j):
-    """Instance j of suite_sandwich(seed): map, weights and oracle sampler."""
-    n, k = 2 + j % 5, 1 + (j // 5) % 5
-    s = verify_mod._derived_sampler(seed, j)
-    qmap = random_map(s, n, k, 100.0)
-    return qmap, verify_mod._simplex_from(s.substream(k + 1), k), s
-
-
 def test_sphere_oracle_matches_per_start_reference():
     # the oracle's stop rule loses nothing measurable against ascents run to
     # gtol 1e-14 from the same starts (measured within 9e-16; gtol 1e-5
     # would lose 4.7e-11), and each start keeps its own trajectory: one
     # stacked L-BFGS-B call over all starts ends up to 0.13 lower here
-    cases = [_sandwich_instance(1, j)
+    cases = [sandwich_instance(1, j)
              for j in [j for j in range(100) if j % 5][:10]]
     for n in (3, 4, 6):
         for k in (40, 160):
             for eps in (1e-4, 1e-6):
-                cases.append(_near_rank_one(n, k, eps))
+                cases.append(near_rank_one(n, k, eps))
     for qmap, alpha, s in cases:
         # two samplers in the state of s: the oracle's and the reference's
         val = sphere_max_oracle(qmap, alpha, GaussianSampler(s.seed, s.jumps))
@@ -149,9 +130,9 @@ def test_ascend_matches_scipy_minimize_bit_for_bit(monkeypatch):
     ascend = verify_mod._ascend
     monkeypatch.setattr(verify_mod, "_ascend", lambda Q, al, x0: (
         starts.append((Q, al, np.array(x0))) or 0.0))
-    cases = [_sandwich_instance(1, j)
+    cases = [sandwich_instance(1, j)
              for j in range(verify_mod._SANDWICH_INSTANCES)]
-    cases += [_near_rank_one(n, k, eps) for n in (2, 3, 4, 6, 8, 16)
+    cases += [near_rank_one(n, k, eps) for n in (2, 3, 4, 6, 8, 16)
               for k in (40, 160) for eps in (1e-2, 1e-4, 1e-6)]
     for qmap, alpha, s in cases:
         sphere_max_oracle(qmap, alpha, s)
@@ -214,7 +195,7 @@ def test_check_sandwich_near_rank_one_corpus():
     for n in (2, 3, 4, 6):
         for k in (40, 160):
             for eps in (1e-2, 1e-4):
-                rep = check_sandwich(*_near_rank_one(n, k, eps))
+                rep = check_sandwich(*near_rank_one(n, k, eps))
                 assert rep.lower_ok and rep.upper_ok, (n, k, eps)
                 excess.append(rep.excess)
     assert max(excess) > 0.5

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
-from scipy.special import gammaln, polygamma
+from scipy.optimize import brentq
+from scipy.special import digamma, gammaln, polygamma
 
 from .config import DEFAULTS
 
@@ -60,31 +61,21 @@ def _phi_log(t: float, alpha: float) -> float:
 def phi(t: float) -> float:
     """Optimized Gaussian tail bound: min over alpha >= 1 of phi_expression.
 
-    The log of the expression is convex in alpha (log-Gamma is convex), so a
-    golden-section search over [1, alpha_max] finds the minimum; alpha_max =
-    max(1, 10 ln t + 10) safely contains the optimizer for t <= 1e6. The
-    boundary alpha = 1 (where the expression equals exactly 1/t) is checked
-    separately so small t returns the Markov value. The search stops at a
-    bracket of width DEFAULTS.golden_section.
+    The log of the expression is convex in alpha (log-Gamma is convex) with
+    derivative digamma(alpha + 1/2) - ln(t/2). If that is >= 0 at alpha = 1
+    the minimum is the boundary alpha = 1, where the expression equals 1/t.
+    Otherwise the minimizer is the derivative's root, which brentq finds to
+    xtol DEFAULTS.root in [1, t]: digamma(x) > ln x - 1/x puts the
+    derivative above 0 at alpha = t.
     """
     if t < 1.0:
         raise ValueError("phi is defined for t >= 1")
-    lo, hi = 1.0, max(1.0, 10.0 * math.log(t) + 10.0)
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv * (hi - lo)
-    d = lo + inv * (hi - lo)
-    fc, fd = _phi_log(t, c), _phi_log(t, d)
-    while hi - lo > DEFAULTS.golden_section:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv * (hi - lo)
-            fc = _phi_log(t, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv * (hi - lo)
-            fd = _phi_log(t, d)
-    best = _phi_log(t, 0.5 * (lo + hi))
-    return math.exp(min(best, _phi_log(t, 1.0)))
+
+    def deriv(a: float) -> float:
+        return float(digamma(a + 0.5)) - math.log(0.5 * t)
+
+    alpha = 1.0 if deriv(1.0) >= 0.0 else brentq(deriv, 1.0, t, xtol=DEFAULTS.root)
+    return math.exp(_phi_log(t, alpha))
 
 
 def laplace_tail_upper(m: int, t: float) -> float:

@@ -30,7 +30,9 @@ class Tolerances:
 
     # entropic SDP solver
     fw_gap: float = 1e-6               # Frank-Wolfe gap termination threshold
-    line_search: float = 1e-12         # bisection width on the step parameter
+
+    # one-dimensional roots: the FW step size and phi's Markov exponent
+    root: float = 1e-12                # brentq bracket width (xtol)
 
     # randomized rounding
     rank_one_budget: int = 1000        # Gaussian draws per rank-one rounding
@@ -41,7 +43,6 @@ class Tolerances:
     decompose_residual: float = 1e-8   # reconstruction ||(1/m) sum y y' - Y||_F
 
     # closed-form bound machinery
-    golden_section: float = 1e-10      # width tolerance for the inner minimization
     quad_abs: float = 1e-8             # absolute tolerance per quadrature call
 
 

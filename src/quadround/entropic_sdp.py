@@ -10,7 +10,7 @@ a positive definite matrix. The solver is Frank-Wolfe: the linear
 maximization oracle over the spectahedron is a top eigenvector v of the
 gradient (argmax of <G, .> is v (x) v), the duality gap <G, v v' - X> upper
 bounds the suboptimality by concavity, and the step size comes from an exact
-one-dimensional line search (bisection on the derivative of the concave
+one-dimensional line search (brentq on the derivative of the concave
 function gamma -> f((1 - gamma) X + gamma v v')).
 
 Plain Frank-Wolfe alternates between near-parallel vertices when the
@@ -42,10 +42,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .config import DEFAULTS
-from .linalg import sym_eigen
+from .linalg import sqrt_psd, sym_eigen
 from .quadmap import QuadraticMap, SimplexVector
 
 
@@ -104,9 +104,11 @@ def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> np.ndar
 def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     """Maximize gamma -> sum alpha ln((1-gamma) c + gamma d) over [0, 1].
 
-    The function is concave; bisect on its derivative down to a bracket of
-    width DEFAULTS.line_search. c and d are the per-form inner products at
-    the current point and at the vertex.
+    The function is concave, so its derivative decreases. A derivative
+    >= 0 at 1 gives exactly 1 (the vertex step, exact on a rank-one
+    optimum) and one <= 0 at 0 gives exactly 0; otherwise brentq finds the
+    derivative's root to xtol DEFAULTS.root. c and d are the per-form inner
+    products at the current point and at the vertex.
     """
     diff = d - c
 
@@ -117,14 +119,7 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
         return 1.0
     if deriv(0.0) <= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > DEFAULTS.line_search:
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(deriv, 0.0, 1.0, xtol=DEFAULTS.root)
 
 
 def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
@@ -135,6 +130,9 @@ def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
     2 (Y / ||Y||_F^2 - G Y) with f and G from _evaluate at Y Y'. Returns
     Y Y' / trace, symmetrized, with its evaluation, or X with its
     evaluation if that value is higher, so the objective never decreases.
+    The ascent stops at gtol 1e-9, as verify's sphere oracle does; a stop
+    at roundoff would make its length hinge on ulp-level changes in its
+    start.
     """
     n = X.shape[0]
 
@@ -144,10 +142,8 @@ def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
         sq = float(y @ y)
         return math.log(sq) - f, (2.0 * (Y / sq - G @ Y)).ravel()
 
-    w, V = sym_eigen(X)
-    Y0 = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    res = minimize(neg, Y0.ravel(), jac=True, method="L-BFGS-B",
-                   options={"gtol": 1e-14, "ftol": 1e-16, "maxiter": 400})
+    res = minimize(neg, sqrt_psd(X).ravel(), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-9, "ftol": 1e-16, "maxiter": 400})
     Y = res.x.reshape(n, n)
     Xt = Y @ Y.T
     Xt = 0.5 * (Xt + Xt.T) / np.trace(Xt)

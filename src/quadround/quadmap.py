@@ -54,7 +54,7 @@ class SimplexVector:
     Construction renormalizes by the sum, but rejects input whose sum
     deviates from 1 by more than DEFAULTS.simplex_sum and input with
     genuinely negative entries (values above -1e-12 are clamped to zero
-    first).
+    first). ``values`` is a read-only array owned by the object.
     """
 
     __slots__ = ("values",)
@@ -73,6 +73,7 @@ class SimplexVector:
             raise ValueError(
                 f"entries sum to {s!r}, more than {DEFAULTS.simplex_sum} from 1")
         self.values = v / s
+        self.values.flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -86,7 +87,8 @@ class SpectahedronPoint:
     """PSD matrix with unit trace (a point of the spectahedron).
 
     Construction symmetrizes the input and checks both conditions against
-    DEFAULTS.psd_check and DEFAULTS.trace_check; ``mat`` holds the array.
+    DEFAULTS.psd_check and DEFAULTS.trace_check; ``mat`` holds the array,
+    read-only and owned by the object.
     """
 
     __slots__ = ("mat",)
@@ -102,6 +104,7 @@ class SpectahedronPoint:
             raise ValueError(
                 f"trace is {tr!r}, more than {DEFAULTS.trace_check} from 1")
         self.mat = X
+        self.mat.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -116,7 +119,8 @@ class QuadraticMap:
 
     Each form is symmetrized and validated positive definite by Cholesky on
     construction. The stacked array of form matrices is exposed as ``Q``
-    (shape k x n x n) for vectorized evaluation.
+    (shape k x n x n, read-only and owned by the object) for vectorized
+    evaluation.
     """
 
     __slots__ = ("Q",)
@@ -134,6 +138,7 @@ class QuadraticMap:
             except Exception as exc:
                 raise type(exc)(f"form {i} is not positive definite: {exc}") from exc
         self.Q = np.stack(mats)
+        self.Q.flags.writeable = False
 
     @property
     def n(self) -> int:

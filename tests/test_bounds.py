@@ -48,6 +48,16 @@ def test_phi_boundary_and_monotonicity():
         phi(0.9)
 
 
+@pytest.mark.parametrize("t", [3.0, 6.0, 30.0, 120.0, 200.0, 500.0, 1000.0])
+def test_phi_minimizes_over_alpha(t):
+    # the optimizer sits near t / 2, beyond any bracket logarithmic in t once
+    # t exceeds about 115; no alpha on a dense grid over [1, t] does better
+    grid = np.append(np.linspace(1.0, t, 20001), 0.5 * t)
+    val = phi(t)
+    for a in grid:
+        assert val <= phi_expression(t, a) * (1.0 + 1e-12)
+
+
 def test_laplace_tail_examples():
     assert laplace_tail_upper(1, 1.0) == 1.0
     assert laplace_tail_upper(7, 1.0) == 1.0

@@ -8,7 +8,8 @@ from quadround import (GaussianSampler, QuadraticMap, SimplexVector, gradient,
 import quadround.entropic_sdp as sdp_mod
 from quadround.instances import random_map, random_witness
 
-from conftest import make_map, make_simplex, near_rank_one, sandwich_instance
+from conftest import (make_map, make_preconditioned, make_simplex,
+                      near_rank_one, sandwich_instance)
 
 
 def test_objective_examples():
@@ -58,6 +59,64 @@ def test_gradient_matches_finite_differences():
         assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-10)
         checked += 1
     assert checked == 20
+
+
+def test_line_search_exact_endpoints():
+    # derivative >= 0 at 1 gives exactly 1, <= 0 at 0 exactly 0; the
+    # weights, c and d are chosen so the zero derivatives are exact in floats
+    ls = sdp_mod._line_search
+    one = np.ones(2)
+    assert ls(np.array([1.0]), np.array([1.0]), np.array([2.0])) == 1.0
+    assert ls(np.array([0.5, 0.5]), one, one) == 1.0
+    assert ls(np.array([0.5, 0.25]), one, np.array([2.0, 0.5])) == 1.0
+    assert ls(np.array([0.5, 0.25]), one, np.array([1.25, 0.5])) == 0.0
+    assert ls(np.array([1.0]), np.array([2.0]), np.array([1.0])) == 0.0
+
+
+def test_line_search_interior_matches_grid():
+    # the maximizer of the concave function on a grid refined around the
+    # sign change of its derivative; values alone place it only to about
+    # 1e-8, because f is flat to roundoff there
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 20:
+        k = int(rng.integers(2, 6))
+        al = rng.dirichlet(np.ones(k))
+        c, d = rng.uniform(0.1, 2.0, k), rng.uniform(0.01, 3.0, k)
+
+        def deriv(g):
+            return (al * (d - c) / (c + np.multiply.outer(g, d - c))).sum(-1)
+
+        if deriv(1.0) >= 0.0 or deriv(0.0) <= 0.0:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(3):
+            g = np.linspace(lo, hi, 10001)
+            i = int(np.argmax(deriv(g) <= 0.0))
+            lo, hi = g[i - 1], g[i]
+        assert sdp_mod._line_search(al, c, d) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+        checked += 1
+
+
+def test_polish_stop_matches_roundoff_reference(monkeypatch):
+    # the polish stops at gtol 1e-9; run to gtol 1e-14 (roundoff) it gains
+    # at most 1e-14 on the seed-1 sandwich instances and n = 64 maps
+    cases = [sandwich_instance(1, j)[:2] for j in range(100)]
+    for seed in range(3):
+        prec, Xh = make_preconditioned(700 + seed, 64, 10)
+        cases.append((prec.hat, hull_point_from_witness(prec.hat, Xh)))
+    sols = [solve(qmap, alpha) for qmap, alpha in cases]
+    minimize = sdp_mod.minimize
+
+    def to_roundoff(*args, **kwargs):
+        kwargs["options"] = dict(kwargs["options"], gtol=1e-14)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(sdp_mod, "minimize", to_roundoff)
+    for (qmap, alpha), sol in zip(cases, sols):
+        ref = solve(qmap, alpha)
+        assert sol.converged and ref.converged
+        assert abs(sol.value - ref.value) <= 1e-14
 
 
 def test_solve_k1_recovers_top_eigenvalue():

@@ -80,6 +80,23 @@ def test_spectahedron_point():
         SpectahedronPoint(np.diag([1.5, -0.5]))  # not PSD
 
 
+def test_boundary_arrays_are_read_only():
+    # each boundary type owns a read-only copy of its input
+    forms = [np.diag([1.0, 2.0]), np.eye(2)]
+    m = QuadraticMap(forms)
+    w = np.array([0.25, 0.75])
+    a = SimplexVector(w)
+    Xin = np.diag([0.5, 0.5])
+    X = SpectahedronPoint(Xin)
+    for arr in (m.Q, a.values, X.mat):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    forms[0][0, 0] = w[0] = Xin[0, 0] = 7.0
+    assert m.Q[0, 0, 0] == 1.0 and a.values[0] == 0.25 and X.mat[0, 0] == 0.5
+
+
 def test_evaluate_examples():
     m1 = QuadraticMap([np.eye(2)])
     assert np.allclose(evaluate(m1, [1.0, 0.0]), [1.0])

@@ -14,14 +14,14 @@ and seeded Monte Carlo.
 from .bounds import (BoundReport, constants, gauss_log_moments, laplace_tail_upper,
                      log_gamma, phi, phi_expression, rank_m_abs_log, rank_m_beta)
 from .config import DEFAULTS
-from .entropic_sdp import SdpSolution, gradient, objective, solve
+from .entropic_sdp import SdpSolution, solve
 from .linalg import (LinalgError, NotPositiveDefinite, cholesky, inverse_spd,
                      sqrt_psd, sym_eigen)
 from .quadmap import (PreconditionedMap, QuadraticMap, SimplexVector,
                       SpectahedronPoint, evaluate, hull_point_from_combination,
                       hull_point_from_witness, instance_from_json,
                       instance_to_json, kl_divergence, load_instance,
-                      pinsker_lower_bound, precondition)
+                      precondition)
 from .rounding import (GaussianSampler, RoundingOutcome, acceptance,
                        decompose_rank_m, round_rank_m, round_rank_one)
 from .verify import (McEstimate, SandwichReport, check_sandwich,

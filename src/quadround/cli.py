@@ -260,13 +260,22 @@ def _checked(convert, ok, what):
     return parse
 
 
+def _integral(text):
+    """int of a literal with an integral value: 1e5 parses, 2500.5 does not."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_seed_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_seed_int = _checked(int, lambda v: 0 <= v < 1 << 128,  # a Philox key
+                     "an integer in [0, 2**128)")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf,
                            "a positive finite number")
 _condition_cap = _checked(float, lambda v: 1.0 <= v < math.inf,
                           "a finite number >= 1")
-_samples = _checked(lambda s: int(float(s)), lambda v: v >= MIN_SAMPLES,
+_samples = _checked(_integral, lambda v: v >= MIN_SAMPLES,
                     f"an integer >= {MIN_SAMPLES}")
 
 

@@ -27,7 +27,7 @@ roundoff keeps the gap above the tolerance, an outer step that no longer
 raises the objective stops the solve, flagged as not converged.
 
 One private routine computes <Q_i, X>, the objective and the gradient;
-objective, gradient, the solver and its polish all call it.
+the solver and its polish both call it.
 
 The optimum is generally not attained at an iterate exactly; the returned
 gap is a true suboptimality certificate (value >= optimum - fw_gap) and is
@@ -70,13 +70,6 @@ class SdpSolution:
     converged: bool
 
 
-def _operands(qmap: QuadraticMap, alpha: SimplexVector):
-    """The (k, n^2) view of the form stack and the weights, checked to match."""
-    if alpha.k != qmap.k:
-        raise ValueError("weight vector length must match the number of forms")
-    return qmap.Q.reshape(qmap.k, -1), alpha.values
-
-
 def _evaluate(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
     """q_i = <Q_i, X>, f = sum_i al_i ln q_i and G = sum_i (al_i / q_i) Q_i.
 
@@ -89,16 +82,6 @@ def _evaluate(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
             "some <Q_i, X> <= 0 on the spectahedron; the positive "
             "definiteness invariant was breached upstream")
     return q, float(al @ np.log(q)), ((al / q) @ Qflat).reshape(X.shape)
-
-
-def objective(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> float:
-    """sum_i alpha_i ln <Q_i, X>; finite by positive definiteness."""
-    return _evaluate(*_operands(qmap, alpha), X)[1]
-
-
-def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> np.ndarray:
-    """Exact differential sum_i (alpha_i / <Q_i, X>) Q_i; positive definite."""
-    return _evaluate(*_operands(qmap, alpha), X)[2]
 
 
 def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
@@ -166,7 +149,9 @@ def solve(qmap: QuadraticMap, alpha: SimplexVector,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    Qflat, al = _operands(qmap, alpha)
+    if alpha.k != qmap.k:
+        raise ValueError("weight vector length must match the number of forms")
+    Qflat, al = qmap.Q.reshape(qmap.k, -1), alpha.values
     X = np.eye(qmap.n) / qmap.n
     q, val, G = _evaluate(Qflat, al, X)
     prev_val = -np.inf

@@ -296,19 +296,6 @@ def kl_divergence(a: SimplexVector, b: SimplexVector) -> float:
     return val
 
 
-def pinsker_lower_bound(a: SimplexVector, b: SimplexVector) -> float:
-    """Lower bound on D(a||b) from the l1 distance: (sum_i |a_i - b_i|)^2 / 2.
-
-    The constant 1/2 is the sharp one for natural-log relative entropy
-    (base-2 entropy would allow 1/(2 ln 2), which is invalid here), so the
-    bound never exceeds kl_divergence(a, b).
-    """
-    if a.k != b.k:
-        raise ValueError(f"dimension mismatch: {a.k} vs {b.k}")
-    l1 = float(np.abs(a.values - b.values).sum())
-    return 0.5 * l1 * l1
-
-
 # ---------------------------------------------------------------------------
 # Instance file schema
 # ---------------------------------------------------------------------------

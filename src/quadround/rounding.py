@@ -125,9 +125,8 @@ class RoundingOutcome:
     gap is added. points holds the certificate vectors (one for rank-one, m
     rows with equal weights 1/m for rank-m; zero rows pad when the witness
     has lower rank). b is reproduced exactly by evaluating the map at the
-    points (averaged for rank-m), kl equals the recomputed divergence from
-    a, and witness_Y carries the spectahedron witness Y (an array) in the
-    rank-m case. sdp is the relaxation solution the rounding was built on;
+    points (averaged for rank-m), and kl equals the recomputed divergence
+    from a. sdp is the relaxation solution the rounding was built on;
     its gap widens the certified distance bound. samples_drawn counts every
     Gaussian vector consumed, including the measure-zero redraws of
     exactly-zero pushes; accepted_count / draws is the empirical acceptance
@@ -141,7 +140,6 @@ class RoundingOutcome:
     kl: float
     samples_drawn: int
     accepted: bool
-    witness_Y: np.ndarray | None
     sdp: SdpSolution
     m: int | None = None
     accepted_count: int = 0
@@ -168,7 +166,7 @@ def acceptance(sq_norm_mean, log_score, m: int | None = None):
 
 def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
            sampler: GaussianSampler, m: int | None, budget: int, tol: float,
-           threads: int, finish) -> RoundingOutcome:
+           threads: int) -> RoundingOutcome:
     """The rounding kernel: ``budget`` batches of m draws (one for m None).
 
     Computes a from the witness (the one place it is computed), solves the
@@ -176,8 +174,10 @@ def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
     blocks, one substream per block, redrawing any batch whose pushes are
     all zero. Each block is evaluated once; b of a batch is
     sum_j q(T x_j) / sum_j ||T x_j||^2 by homogeneity. The minimum-KL batch
-    (lowest index wins ties) goes to ``finish``, which maps its pushes, an
-    (m, n) array, to (points, b, witness_Y) of the outcome.
+    (lowest index wins ties) becomes the certificate: for rank-one the unit
+    point y = T x / ||T x|| with b = psi(y); for rank-m the spectahedron
+    point Y = sum_j (T x_j)(T x_j)' / sum_j ||T x_j||^2 with b_i = <Q_i, Y>,
+    decomposed into m equally weighted points.
     """
     if m is not None and m < 1:
         raise ValueError("m must be at least 1")
@@ -222,7 +222,14 @@ def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
         accepted_count += acc_b
         if kl_b < best_kl:
             best_kl, best_tx = kl_b, tx_b
-    points, b, witness_Y = finish(best_tx)
+    sq = float(np.einsum("mi,mi->", best_tx, best_tx))
+    if m is None:
+        points = best_tx / np.sqrt(sq)
+        b = SimplexVector(evaluate(qmap, points[0]))
+    else:
+        Y = np.einsum("mi,mj->ij", best_tx, best_tx) / sq
+        b = SimplexVector(np.einsum("kij,ij->k", Qstack, Y))
+        points = decompose_rank_m(Y, m)
     return RoundingOutcome(
         a=a,
         bound=BETA_RANK_ONE if m is None else rank_m_beta(m),
@@ -231,7 +238,6 @@ def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
         kl=kl_divergence(a, b),
         samples_drawn=total,
         accepted=accepted_count > 0,
-        witness_Y=witness_Y,
         sdp=sol,
         m=m,
         accepted_count=accepted_count,
@@ -253,11 +259,7 @@ def round_rank_one(prec: PreconditionedMap, X_witness: SpectahedronPoint,
     < 4.8 + fw_gap; otherwise the best-effort outcome is returned with
     accepted=False.
     """
-    def finish(tx):
-        y = tx / np.sqrt(np.einsum("mi,mi->", tx, tx))
-        return y, SimplexVector(evaluate(prec.hat, y[0])), None
-
-    return _round(prec, X_witness, sampler, None, budget, tol, threads, finish)
+    return _round(prec, X_witness, sampler, None, budget, tol, threads)
 
 
 def round_rank_m(prec: PreconditionedMap, X_witness: SpectahedronPoint,
@@ -275,12 +277,7 @@ def round_rank_m(prec: PreconditionedMap, X_witness: SpectahedronPoint,
     < 15/sqrt(m) + fw_gap. The best batch by KL is returned, decomposed into
     m equally weighted certificate points.
     """
-    def finish(tx):
-        Y = np.einsum("mi,mj->ij", tx, tx) / float(np.einsum("mi,mi->", tx, tx))
-        b = SimplexVector(np.einsum("kij,ij->k", prec.hat.Q, Y))
-        return decompose_rank_m(Y, m), b, Y
-
-    return _round(prec, X_witness, sampler, m, budget, tol, threads, finish)
+    return _round(prec, X_witness, sampler, m, budget, tol, threads)
 
 
 def decompose_rank_m(Y: np.ndarray, m: int) -> np.ndarray:

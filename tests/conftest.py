@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: seeded instance and vector factories."""
+"""Shared helpers for the test suite: seeded instance and vector factories,
+the relaxation's objective and gradient, and Pinsker's bound on the KL."""
 
 import numpy as np
 import pytest
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        precondition)
+from quadround.entropic_sdp import _evaluate
 from quadround.instances import random_map, random_witness
 import quadround.verify as verify_mod
 
@@ -43,6 +45,28 @@ def sandwich_instance(seed, j):
     s = verify_mod._derived_sampler(seed, j)
     qmap = random_map(s, n, k, 100.0)
     return qmap, verify_mod._simplex_from(s.substream(k + 1), k), s
+
+
+# The relaxation's objective and gradient through the routine solve runs.
+def objective(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> float:
+    return _evaluate(qmap.Q.reshape(qmap.k, -1), alpha.values, X)[1]
+
+
+def gradient(qmap: QuadraticMap, alpha: SimplexVector, X: np.ndarray) -> np.ndarray:
+    return _evaluate(qmap.Q.reshape(qmap.k, -1), alpha.values, X)[2]
+
+
+def pinsker_lower_bound(a: SimplexVector, b: SimplexVector) -> float:
+    """Lower bound on D(a||b) from the l1 distance: (sum_i |a_i - b_i|)^2 / 2.
+
+    The constant 1/2 is the sharp one for natural-log relative entropy
+    (base-2 entropy would allow 1/(2 ln 2), which is invalid here), so the
+    bound never exceeds kl_divergence(a, b).
+    """
+    if a.k != b.k:
+        raise ValueError(f"dimension mismatch: {a.k} vs {b.k}")
+    l1 = float(np.abs(a.values - b.values).sum())
+    return 0.5 * l1 * l1
 
 
 @pytest.fixture

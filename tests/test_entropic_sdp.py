@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from quadround import (GaussianSampler, QuadraticMap, SimplexVector, gradient,
-                       hull_point_from_witness, objective, precondition, solve)
+from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
+                       hull_point_from_witness, precondition, solve)
 import quadround.entropic_sdp as sdp_mod
 from quadround.instances import random_map, random_witness
 
-from conftest import (make_map, make_preconditioned, make_simplex,
-                      near_rank_one, sandwich_instance)
+from conftest import (gradient, make_map, make_preconditioned, make_simplex,
+                      near_rank_one, objective, sandwich_instance)
 
 
 def test_objective_examples():
@@ -267,6 +267,11 @@ def test_objective_fails_loudly_on_invariant_breach():
     bad = np.diag([1.5, -0.5])
     with pytest.raises(AssertionError):
         objective(qmap, SimplexVector([1.0]), bad)
+
+
+def test_solve_rejects_mismatched_weights():
+    with pytest.raises(ValueError, match="number of forms"):
+        solve(make_map(3002, 3, 4), make_simplex(4002, 3))
 
 
 def test_rescale_to_unit():

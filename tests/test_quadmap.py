@@ -7,11 +7,11 @@ from quadround import (GaussianSampler, NotPositiveDefinite, QuadraticMap,
                        SimplexVector, SpectahedronPoint, evaluate,
                        hull_point_from_combination, hull_point_from_witness,
                        instance_from_json, instance_to_json, kl_divergence,
-                       pinsker_lower_bound, precondition)
+                       precondition)
 from quadround.instances import random_map, random_witness
 from quadround.quadmap import InstanceFormatError, evaluate_batch
 
-from conftest import make_map, make_simplex
+from conftest import make_map, make_simplex, pinsker_lower_bound
 
 
 def test_quadratic_map_validation():

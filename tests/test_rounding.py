@@ -6,11 +6,11 @@ import pytest
 from quadround import (GaussianSampler, PreconditionedMap, QuadraticMap,
                        SimplexVector, SpectahedronPoint, acceptance,
                        decompose_rank_m, evaluate, hull_point_from_combination,
-                       hull_point_from_witness, kl_divergence,
-                       pinsker_lower_bound, precondition, round_rank_m,
-                       round_rank_one, solve, sphere_max_oracle, sqrt_psd)
+                       hull_point_from_witness, kl_divergence, precondition,
+                       round_rank_m, round_rank_one, solve, sphere_max_oracle,
+                       sqrt_psd)
 
-from conftest import make_map, make_preconditioned
+from conftest import make_map, make_preconditioned, pinsker_lower_bound
 
 
 # --- sampler -----------------------------------------------------------
@@ -246,9 +246,10 @@ def test_round_rank_m_uniform_forms_zero_kl():
 def test_round_rank_m_m1_is_rank_one_point():
     prec, Xh = make_preconditioned(91, 4, 3)
     out = round_rank_m(prec, Xh, 1, GaussianSampler(92), budget=50)
-    # Y = y (x) y for a unit vector y
-    assert np.array_equal(out.witness_Y, out.witness_Y.T)
-    w = np.linalg.eigvalsh(out.witness_Y)
+    # Y = y (x) y for a unit vector y, rebuilt from the certificate points
+    Y = out.points.T @ out.points
+    assert np.array_equal(Y, Y.T)
+    w = np.linalg.eigvalsh(Y)
     assert np.allclose(w[:-1], 0.0, atol=1e-12)
     assert w[-1] == pytest.approx(1.0, abs=1e-12)
     assert out.points.shape == (1, 4)

@@ -93,14 +93,20 @@ class GaussianSampler:
             shape = (int(shape),)
         count = int(np.prod(shape)) if shape else 1
         npairs = (count + 1) // 2
-        u1 = 1.0 - self._gen.random(npairs)  # in (0, 1], keeps the log finite
-        u2 = self._gen.random(npairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        z = np.empty(2 * npairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:count].reshape(shape)
+        # one draw holds u1 then u2, the same stream as two draws; every
+        # step runs in place, on contiguous arrays as the out-of-place form
+        # did, so the same ufunc loops give the same bits
+        u = self._gen.random(2 * npairs)
+        r, theta = u[:npairs], u[npairs:]
+        np.subtract(1.0, r, out=r)  # in (0, 1], keeps the log finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * math.pi
+        z = np.empty((npairs, 2))
+        np.multiply(r, np.cos(theta, out=np.empty(npairs)), out=z[:, 0])
+        np.multiply(r, np.sin(theta, out=theta), out=z[:, 1])
+        return z.reshape(-1)[:count].reshape(shape)
 
     def mean_squares(self, m: int, shape) -> np.ndarray:
         """Means of m squared standard normals, elementwise; advances the stream.
@@ -112,7 +118,8 @@ class GaussianSampler:
         if m < 1:
             raise ValueError("m must be at least 1")
         if m == 1:
-            return self.normals(shape) ** 2
+            z = self.normals(shape)
+            return np.multiply(z, z, out=z)
         return self._gen.standard_gamma(0.5 * m, size=shape) * (2.0 / m)
 
 

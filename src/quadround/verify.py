@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths it is checking. The
 sphere maximum of sum_i alpha_i ln q_i(x) is the best of one L-BFGS ascent
 from each of a few starts: the peaks of an angle grid for n = 2, random
 points for n >= 3 (a certified lower bound on the true maximum, which is all
-the relaxation sandwich needs). Each ascent drives scipy's compiled
-L-BFGS-B core directly, with the same stop tests and the same iterates as
-``scipy.optimize.minimize``. The probabilistic claims about Gaussian
+the relaxation sandwich needs). Each ascent drives its own copy of scipy's
+compiled L-BFGS-B core directly, with the same stop tests and the same
+iterates as ``scipy.optimize.minimize``. The ascents of one instance share
+each batched objective evaluation, which reduces row by row, so no ascent's
+iterates depend on the others. The probabilistic claims about Gaussian
 values of normalized forms are estimated by seeded Monte Carlo with
 binomial or sample standard errors; diagonal forms suffice because the
 Gaussian measure is rotation invariant and the claims depend only on the
@@ -82,21 +84,47 @@ def _simplex_from(sampler: GaussianSampler, k: int) -> SimplexVector:
     return SimplexVector(z / z.sum())
 
 
-def _ascend(Qstack: np.ndarray, al: np.ndarray, x0: np.ndarray) -> float:
-    """One local ascent of sum_i al_i ln q_i on the unit sphere from x0.
+def _q_rows(Qstack: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """q_i(x) = <Q_i, x x'> for each row x of X, one (k,) row per x."""
+    b = X.shape[0]
+    xx = (X[:, :, None] * X[:, None, :]).reshape(b, 1, -1)
+    return (Qstack.reshape(Qstack.shape[0], -1) * xx).sum(axis=-1)
+
+
+def _neg_rows(Qstack: np.ndarray, al: np.ndarray, X: np.ndarray):
+    """ln ||x||^2 - sum_i al_i ln q_i(x) and its gradient, for each row x of X.
+
+    Every reduction runs along its own row, so a row's f and g are the same
+    doubles whatever else is in the batch.
+    """
+    q = _q_rows(Qstack, X)
+    sq = (X * X).sum(axis=1)
+    f = np.log(sq) - (al * np.log(q)).sum(axis=1)
+    g = np.einsum("bk,kij,bj->bi", al / q, Qstack, X)
+    g = 2.0 * (X / sq[:, None] - g)
+    return f, g
+
+
+def _ascend(Qstack: np.ndarray, al: np.ndarray,
+            starts: np.ndarray) -> np.ndarray:
+    """One local ascent of sum_i al_i ln q_i on the unit sphere per start.
 
     L-BFGS-B minimizes ln ||x||^2 - sum_i al_i ln q_i(x), which is scale
-    invariant, so the iterates need no projection. The loop drives scipy's
-    compiled L-BFGS-B core (setulb) itself, as scipy's _minimize_lbfgsb
-    does (memory 10, at most 20 line-search steps, no bounds), but without
-    the per-evaluation bookkeeping of ``minimize``. A request for f and g at
-    an unmoved x re-uses the last value, as ``minimize`` does, so the stop
-    tests, the iterates and the number of objective calls are those of
-    ``minimize(method="L-BFGS-B")`` bit for bit. It stops when the largest
+    invariant, so the iterates need no projection. Each start (a row of
+    ``starts``) drives its own copy of scipy's compiled L-BFGS-B core
+    (setulb), as scipy's _minimize_lbfgsb does (memory 10, at most 20
+    line-search steps, no bounds), with its own workspace, line search and
+    stop tests. The starts run in lockstep: one pass steps every live start
+    until it asks for f and g at a new x, then _neg_rows evaluates all those
+    points in one call. A request at an unmoved x re-uses the last value, as
+    ``minimize`` does. Since _neg_rows works row by row, each start's stop
+    tests, iterates and number of evaluations are those of
+    ``minimize(method="L-BFGS-B")`` on that row's objective bit for bit,
+    whichever starts share its batches. A start stops when the largest
     gradient entry is at most 1e-9 (gtol), when one step lowers the
     objective by at most a relative 1e-16 (ftol), when the line search
     fails, after 400 iterations, or after 15 000 evaluations.
-    The value returned is sum_i al_i ln q_i at the normalized end point: a
+    The value of a start is sum_i al_i ln q_i at its normalized end point: a
     certified lower bound on the sphere maximum whatever the optimizer's
     exit status. The stopping tests do not steer the iterates, so a tighter
     gtol only extends this same trajectory, and each extra step can only
@@ -104,56 +132,63 @@ def _ascend(Qstack: np.ndarray, al: np.ndarray, x0: np.ndarray) -> float:
     gradient. On the sandwich and near-rank-one corpora the steps that a
     gtol of 1e-14 adds move the value by less than 1e-15.
     """
-    def neg(x):
-        q = np.einsum("kij,i,j->k", Qstack, x, x)
-        sq = float(x @ x)
-        grad = 2.0 * (x / sq - np.einsum("k,kij,j->i", al / q, Qstack, x))
-        return math.log(sq) - float(al @ np.log(q)), grad
-
-    n, m = x0.size, 10
-    x = np.array(x0, dtype=np.float64)
-    f, g = 0.0, np.zeros(n)
+    x = np.array(starts, dtype=np.float64)      # row s: start s's iterate
+    S, n = x.shape
+    m = 10
+    f, g = np.zeros(S), np.zeros((S, n))
     unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
-                           np.zeros(29))
+    wa = np.zeros((S, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((S, 3 * n), np.int32)
+    task, ln_task = np.zeros((S, 2), np.int32), np.zeros((S, 2), np.int32)
+    lsave, isave, dsave = (np.zeros((S, 4), np.int32),
+                           np.zeros((S, 44), np.int32), np.zeros((S, 29)))
+    # each start's own rows of the workspaces, which setulb updates in place
+    rows = list(zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task))
     factr = 1e-16 / np.finfo(float).eps
-    at = None                     # the point f and g were computed at
-    nit = nfev = 0
-    while True:
-        setulb(m, x, unbounded, unbounded, nbd, f, g, factr, 1e-9, wa, iwa,
-               task, lsave, isave, dsave, 20, ln_task)
-        if task[0] == 3:          # FG: f and g at x, re-used if x is unmoved
-            xs = x.tolist()
-            if xs != at:
-                f, g = neg(x)
-                at = xs
-                nfev += 1
-        elif task[0] == 1:        # NEW_X: one iteration done
-            nit += 1
-            if nit >= 400 or nfev > 15000:
-                break
-        else:                     # converged, or the line search failed
-            break
-    x /= np.linalg.norm(x)
-    q = np.einsum("kij,i,j->k", Qstack, x, x)
-    return float(np.sum(al * np.log(q)))
+    at = [None] * S               # the point each f and g were computed at
+    nit, nfev = [0] * S, [0] * S
+    live = range(S)
+    while live:
+        pending = []              # starts waiting for f and g at a new x
+        for s in live:
+            xr, gr, war, iwar, tr, lr, ir, dr, lnr = rows[s]
+            while True:
+                setulb(m, xr, unbounded, unbounded, nbd, f[s], gr, factr,
+                       1e-9, war, iwar, tr, lr, ir, dr, 20, lnr)
+                if tr[0] == 3:        # FG: f and g at x, re-used if unmoved
+                    xs = xr.tolist()
+                    if xs != at[s]:
+                        at[s] = xs
+                        nfev[s] += 1
+                        pending.append(s)
+                        break
+                elif tr[0] == 1:      # NEW_X: one iteration done
+                    nit[s] += 1
+                    if nit[s] >= 400 or nfev[s] > 15000:
+                        break
+                else:                 # converged, or the line search failed
+                    break
+        if pending:
+            f[pending], g[pending] = _neg_rows(Qstack, al, x[pending])
+        live = pending
+    x /= np.sqrt((x * x).sum(axis=1))[:, None]
+    return (al * np.log(_q_rows(Qstack, x))).sum(axis=1)
 
 
 def sphere_max_oracle(qmap: QuadraticMap, alpha: SimplexVector,
                       sampler: GaussianSampler) -> float:
     """Best value of sum_i alpha_i ln q_i(x) over the unit sphere.
 
-    One local ascent (_ascend) from each start, each with its own line
-    search and stop test, returning the best value, which is a certified
-    lower bound on the sphere maximum. n = 2: the
+    One local ascent from each start, each with its own line search and
+    stop tests, all run in lockstep by _ascend, returning the best value,
+    which is a certified lower bound on the sphere maximum. n = 2: the
     starts are the local maxima of _ORACLE_GRID equispaced angles on
     [0, pi) (antipodal points coincide), highest first and at most
     _ORACLE_RESTARTS of them, so the result is the exact maximum to
     roundoff whenever the grid resolves the peaks. n >= 3: _ORACLE_RESTARTS
-    random normal starts drawn from sampler.
+    random normal starts drawn from sampler. A start's value is the one it
+    reaches alone, so the result does not depend on how many starts share
+    the lockstep.
     """
     Qstack = qmap.Q
     al = alpha.values
@@ -167,8 +202,8 @@ def sphere_max_oracle(qmap: QuadraticMap, alpha: SimplexVector,
         starts = pts[order[:_ORACLE_RESTARTS]]
     else:
         xs = [sampler.normals((qmap.n,)) for _ in range(_ORACLE_RESTARTS)]
-        starts = [x / np.linalg.norm(x) for x in xs if np.any(x)]
-    return max(_ascend(Qstack, al, x0) for x0 in starts)
+        starts = np.array([x / np.linalg.norm(x) for x in xs if np.any(x)])
+    return float(np.max(_ascend(Qstack, al, starts)))
 
 
 def check_sandwich(qmap: QuadraticMap, alpha: SimplexVector,

@@ -43,6 +43,37 @@ def test_sampler_moments():
     assert abs(sq - n) <= 3.0 * math.sqrt(2.0 * n / draws)
 
 
+def _box_muller_reference(gen, shape):
+    """Out-of-place Box-Muller over two uniform draws per request."""
+    if np.isscalar(shape):
+        shape = (int(shape),)
+    count = int(np.prod(shape)) if shape else 1
+    npairs = (count + 1) // 2
+    u1 = 1.0 - gen.random(npairs)
+    u2 = gen.random(npairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    z = np.empty(2 * npairs)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:count].reshape(shape)
+
+
+def test_sampler_matches_out_of_place_box_muller():
+    # the in-place sampler gives the reference's bytes, and consumes the
+    # stream as it does, over one stream read by many requests
+    s = GaussianSampler(31)
+    gen = np.random.Generator(np.random.Philox(key=31))
+    for shape in (0, 1, 2, 3, 10 ** 5 + 1, (), 7, (5, 7, 3), (0,), (4, 1)):
+        z = s.normals(shape)
+        ref = _box_muller_reference(gen, shape)
+        assert z.shape == ref.shape and z.tobytes() == ref.tobytes(), shape
+        sq = GaussianSampler(32).mean_squares(1, shape)
+        ref = _box_muller_reference(
+            np.random.Generator(np.random.Philox(key=32)), shape) ** 2
+        assert sq.tobytes() == ref.tobytes(), shape
+
+
 # --- acceptance predicate ----------------------------------------------
 
 def _symmetric_rescaled(k=2, n=2):

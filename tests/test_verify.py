@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -60,16 +59,17 @@ def test_sphere_oracle_constant_map_caps_ascents(monkeypatch):
     calls = []
     ascend = verify_mod._ascend
 
-    def counting(*args):
-        calls.append(1)
-        return ascend(*args)
+    def counting(Q, al, starts):
+        calls.append(len(starts))
+        return ascend(Q, al, starts)
 
     monkeypatch.setattr(verify_mod, "_ascend", counting)
     qmap = QuadraticMap([np.eye(2)] * 3)
     val = sphere_max_oracle(qmap, SimplexVector([1 / 3] * 3),
                             GaussianSampler(1))
     assert val == pytest.approx(0.0, abs=1e-10)
-    assert 1 <= len(calls) <= verify_mod._ORACLE_RESTARTS
+    assert len(calls) == 1
+    assert 1 <= calls[0] <= verify_mod._ORACLE_RESTARTS
 
 
 def _per_start_reference(qmap, alpha, sampler):
@@ -120,50 +120,84 @@ def test_sphere_oracle_matches_per_start_reference():
         assert val >= ref - 1e-12, (qmap.n, qmap.k, val - ref)
 
 
-def test_ascend_matches_scipy_minimize_bit_for_bit(monkeypatch):
-    # _ascend drives scipy's L-BFGS-B core itself; from every start of the
-    # seed-1 sandwich instances (n = 2 grid peaks, n >= 3 random starts) and
-    # of the near-rank-one grid it ends at the value scipy.optimize.minimize
-    # ends at, calling the objective as often. A scipy release that changes
-    # the core's arguments or its iterates fails here.
-    starts = []
-    ascend = verify_mod._ascend
-    monkeypatch.setattr(verify_mod, "_ascend", lambda Q, al, x0: (
-        starts.append((Q, al, np.array(x0))) or 0.0))
+def _oracle_cases():
+    """The seed-1 sandwich instances (n = 2 grid peaks, n >= 3 random starts)
+    and the near-rank-one grid, each with the sampler in the suite's state."""
     cases = [sandwich_instance(1, j)
              for j in range(verify_mod._SANDWICH_INSTANCES)]
     cases += [near_rank_one(n, k, eps) for n in (2, 3, 4, 6, 8, 16)
               for k in (40, 160) for eps in (1e-2, 1e-4, 1e-6)]
-    for qmap, alpha, s in cases:
-        sphere_max_oracle(qmap, alpha, s)
-    assert len(starts) > 2000
+    return cases
 
-    calls = [0]
 
-    def counting_log(v):
-        calls[0] += 1
-        return math.log(v)
+def _oracle_starts(monkeypatch):
+    """(Q, al, starts) that sphere_max_oracle passes to _ascend per case."""
+    runs = []
+    with monkeypatch.context() as mp:
+        mp.setattr(verify_mod, "_ascend", lambda Q, al, starts: (
+            runs.append((Q, al, np.array(starts))) or np.zeros(len(starts))))
+        for qmap, alpha, s in _oracle_cases():
+            sphere_max_oracle(qmap, alpha, s)
+    return runs
 
-    # the objective calls math.log once per evaluation
-    monkeypatch.setattr(verify_mod, "math",
-                        types.SimpleNamespace(log=counting_log))
-    for Q, al, x0 in starts:
-        ref_calls = [0]
 
-        def neg(x):
-            ref_calls[0] += 1
-            q = np.einsum("kij,i,j->k", Q, x, x)
-            sq = float(x @ x)
-            grad = 2.0 * (x / sq - np.einsum("k,kij,j->i", al / q, Q, x))
-            return math.log(sq) - float(al @ np.log(q)), grad
+def test_ascend_matches_scipy_minimize_bit_for_bit(monkeypatch):
+    # _ascend drives scipy's L-BFGS-B core itself; from every start of the
+    # oracle cases it ends at the value scipy.optimize.minimize ends at on
+    # the same per-row objective, evaluating it as often. A scipy release
+    # that changes the core's arguments or its iterates fails here. The
+    # starts of one case run in lockstep, yet each ends where it ends alone:
+    # the oracle's value is the best single-start ascent, bit for bit.
+    runs = _oracle_starts(monkeypatch)
+    assert sum(len(starts) for _, _, starts in runs) > 2000
 
-        res = minimize(neg, x0, jac=True, method="L-BFGS-B",
-                       options={"gtol": 1e-9, "ftol": 1e-16, "maxiter": 400})
-        x = res.x / np.linalg.norm(res.x)
-        ref = float(np.sum(al * np.log(np.einsum("kij,i,j->k", Q, x, x))))
-        calls[0] = 0
-        assert ascend(Q, al, x0) == ref, (Q.shape, res.message)
-        assert calls[0] == ref_calls[0] == res.nfev, res.message
+    rows = [0]
+    neg_rows = verify_mod._neg_rows
+
+    def counting(Q, al, X):
+        rows[0] += len(X)
+        return neg_rows(Q, al, X)
+
+    monkeypatch.setattr(verify_mod, "_neg_rows", counting)
+    for (qmap, alpha, s), (Q, al, starts) in zip(_oracle_cases(), runs):
+        Qflat = Q.reshape(len(Q), -1)
+
+        def q_of(x):
+            return np.sum(Qflat * np.outer(x, x).ravel(), axis=-1)
+
+        single = []
+        for x0 in starts:
+            ref_calls = [0]
+
+            def neg(x):
+                ref_calls[0] += 1
+                q = q_of(x)
+                sq = np.sum(x * x)
+                grad = 2.0 * (x / sq - np.einsum("k,kij,j->i", al / q, Q, x))
+                return np.log(sq) - np.sum(al * np.log(q)), grad
+
+            res = minimize(neg, x0, jac=True, method="L-BFGS-B",
+                           options={"gtol": 1e-9, "ftol": 1e-16,
+                                    "maxiter": 400})
+            x = res.x / np.sqrt(np.sum(res.x * res.x))
+            ref = np.sum(al * np.log(q_of(x)))
+            rows[0] = 0
+            single.append(verify_mod._ascend(Q, al, x0[None])[0])
+            assert single[-1] == ref, res.message
+            assert rows[0] == ref_calls[0] == res.nfev, res.message
+        assert sphere_max_oracle(qmap, alpha, s) == max(single)
+
+
+def test_objective_rows_do_not_depend_on_the_batch(monkeypatch):
+    runs = _oracle_starts(monkeypatch)
+    assert max(len(starts) for _, _, starts in runs) == \
+        verify_mod._ORACLE_RESTARTS
+    for Q, al, starts in runs:
+        f, g = verify_mod._neg_rows(Q, al, starts)
+        for i, x in enumerate(starts):
+            f1, g1 = verify_mod._neg_rows(Q, al, x[None])
+            assert f1.tobytes() == f[i:i + 1].tobytes()
+            assert g1.tobytes() == g[i:i + 1].tobytes()
 
 
 def test_check_sandwich_trivial_and_random(sampler):

@@ -20,10 +20,11 @@ entropy D(a||b) = sum_i a_i ln(a_i / b_i), natural logarithm throughout.
 
 from __future__ import annotations
 
-import json
 import math
+import re
 
 import numpy as np
+import orjson
 
 from .config import DEFAULTS
 from .linalg import (NotPositiveDefinite, cholesky, fro_norm, inverse_spd,
@@ -321,7 +322,9 @@ def _parse_array(value, what: str, shape=None) -> np.ndarray:
     A ragged list, an entry that is null, a string (even a numeric one), a
     boolean, an integer beyond int64 (numpy infers a dtype outside "iuf"
     for these) or beyond the float range, and a shape other than ``shape``
-    when one is given, are each an InstanceFormatError.
+    when one is given, are each an InstanceFormatError. In a file read by
+    load_instance an integer beyond 64 bits arrives as the nearest float
+    (orjson reads it so) and passes.
     """
     try:
         arr = np.asarray(value)
@@ -404,11 +407,112 @@ def instance_from_json(doc: dict):
     raise InstanceFormatError("witness must contain either X or points/weights")
 
 
+_TOKENS = (b"[", b"{", b"]", b"}", b'"')
+_BLANK = re.compile(rb"[ \t\n\r]*")
+_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
+_COMMA = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
+# Instance files nest 4 levels deep. orjson 3.8 converts nested arrays
+# recursively and crashes the interpreter at 200 000 levels.
+_MAX_DEPTH = 1024
+
+
+def _q_spans(raw: bytes):
+    """Byte spans of the top-level "Q" array of a JSON text and of its forms.
+
+    One forward scan over the brackets and quotes of ``raw``. A string ends
+    at the next quote not preceded by an odd run of backslashes, and the
+    brackets inside it do not count. Returns (q0, q1, forms): raw[q0:q1] is
+    the value of the last "Q" key at depth 1 (JSON keeps the last duplicate
+    key), and forms lists the spans (a, b) of its elements. Returns None
+    unless that value is an array of arrays or objects separated by single
+    commas and whitespace. Raises InstanceFormatError when the text nests
+    deeper than _MAX_DEPTH.
+    """
+    end = len(raw)
+    find = raw.find
+    nxt = [find(t) % (end + 1) for t in _TOKENS]    # -1 (none) -> end
+    depth, q_at, q, forms = 0, -1, None, None
+    while (p := min(nxt)) < end:
+        t = nxt.index(p)
+        nxt[t] = find(_TOKENS[t], p + 1) % (end + 1)
+        if t < 2:
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise InstanceFormatError(
+                    f"invalid JSON: nested deeper than {_MAX_DEPTH} levels")
+            if p == q_at and t == 0:
+                q0, forms = p, []
+            elif depth == 3 and forms is not None:
+                a = p
+        elif t < 4:
+            depth -= 1
+            if forms is not None and depth == 2:
+                forms.append((a, p + 1))
+            elif forms is not None and depth == 1:
+                q, forms = (q0, p + 1, forms), None
+        else:
+            e = p
+            while True:
+                e = find(b'"', e + 1)
+                if e < 0:
+                    return None
+                j = e - 1
+                while raw[j] == 0x5C:
+                    j -= 1
+                if (e - j) % 2:
+                    break
+            if depth == 1 and (m := _COLON.match(raw, e + 1)) is not None:
+                key = raw[p + 1:e]
+                if key == b"Q" or (b"\\" in key
+                                   and orjson.loads(raw[p:e + 1]) == "Q"):
+                    q_at, q = m.end(), None
+            nxt = [x if x > e else find(tok, e + 1) % (end + 1)
+                   for x, tok in zip(nxt, _TOKENS)]
+    if q is None or raw[q[1] - 1] != 0x5D:
+        return None
+    q0, q1, forms = q
+    gaps = zip([q0 + 1] + [b for _, b in forms],
+               [a for a, _ in forms] + [q1 - 1])
+    for i, (a, b) in enumerate(gaps):
+        glue = _BLANK if i in (0, len(forms)) else _COMMA
+        if glue.fullmatch(raw, a, b) is None:
+            return None
+    return q
+
+
+def _decode(path: str):
+    """The instance document of a file, with each form of Q a float array.
+
+    Q holds nearly all of an instance's bytes. The text outside it is
+    parsed with Q replaced by [], and each form is parsed on its own and
+    turned into an array at once, so at most one form's Python lists are
+    alive at a time: whole-document parsing would hold every form's lists
+    and, with orjson, a copy of the input too. A text whose Q the scan
+    cannot split is parsed whole: it is not a valid instance, and orjson
+    or instance_from_json says why.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    spans = _q_spans(raw)
+    if spans is None:
+        return orjson.loads(raw)
+    q0, q1, forms = spans
+    doc = orjson.loads(raw[:q0] + b"[]" + raw[q1:])
+    view = memoryview(raw)
+    doc["Q"] = [_parse_array(orjson.loads(view[a:b]), f"Q[{i}]")
+                for i, (a, b) in enumerate(forms)]
+    return doc
+
+
 def load_instance(path: str):
-    """Read an instance file; returns (map, X or None) as instance_from_json."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    """Read an instance file; returns (map, X or None) as instance_from_json.
+
+    The file is parsed by orjson one form at a time (see _decode), which
+    keeps peak memory near the size of the file. orjson rejects NaN and
+    Infinity literals and lone surrogates as invalid JSON.
+    """
+    try:
+        doc = _decode(path)
+    except orjson.JSONDecodeError as exc:
+        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return instance_from_json(doc)

@@ -369,7 +369,13 @@ def test_round_parse_and_invalid_instance_exits(tmp_path, capsys):
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": 3}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
-                 '"witness": {}}'):
+                 '"witness": {}}',
+                 # nesting too deep: a 5 000-deep Q, a 100 000-deep array,
+                 # and a 300 000-deep witness (orjson 3.8 would crash on it)
+                 '{"n": 1, "k": 1, "Q": ' + '[' * 5000 + ']' * 5000 + '}',
+                 '[' * 100000 + ']' * 100000,
+                 '{"n": 1, "k": 1, "Q": [[[1.0]]], "witness": '
+                 + '[' * 300000 + ']' * 300000 + '}'):
         bad.write_text(text)
         assert run_cli("--quiet", "round", str(bad), "--rank-one", "--seed",
                        "1", "--witness-random", "--budget", "5") == 2, text

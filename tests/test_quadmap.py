@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from quadround import (GaussianSampler, NotPositiveDefinite, QuadraticMap,
                        hull_point_from_combination, hull_point_from_witness,
                        instance_from_json, instance_to_json, kl_divergence,
                        precondition)
+from quadround.cli import main as cli_main
 from quadround.instances import random_map, random_witness
-from quadround.quadmap import InstanceFormatError, evaluate_batch
+from quadround.quadmap import (InstanceFormatError, _q_spans, evaluate_batch,
+                               load_instance)
 
 from conftest import make_map, make_simplex, pinsker_lower_bound
 
@@ -347,6 +350,106 @@ def test_instance_json_roundtrip():
     with pytest.raises(NotPositiveDefinite):
         instance_from_json({"n": 2, "k": 1,
                             "Q": [[[1.0, 2.0], [2.0, 1.0]]]})
+
+
+def _reference_load(path):
+    """The stdlib loader: json.loads of the text, then instance_from_json."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    return instance_from_json(doc)
+
+
+def _outcome(load, path):
+    """The bytes of the loaded Q and X, or the class of the exception."""
+    try:
+        qmap, X = load(path)
+    except Exception as exc:
+        return type(exc)
+    return qmap.Q.tobytes(), None if X is None else X.tobytes()
+
+
+def test_loader_matches_stdlib_json(tmp_path):
+    # load_instance parses the forms of Q one at a time; on each document it
+    # must return the same Q and X bytes as stdlib json, or raise the same
+    # exception class
+    gen = tmp_path / "gen.json"
+    assert cli_main(["--quiet", "gen", "--n", "5", "--k", "3", "--seed", "4",
+                     "--witness-random", "--out", str(gen)]) == 0
+    indented = gen.read_text(encoding="utf-8")
+    doc = json.loads(indented)
+    compact = json.dumps(doc, separators=(",", ":"))
+    Q, W = json.dumps(doc["Q"]), json.dumps(doc["witness"])
+    rest = compact[1:]
+    note = r'"\"Q\": [[ ] { \\\"\\"'    # holds "Q": [[ ] { \" and ends in \\
+    valid = [
+        indented,
+        compact,
+        json.dumps(dict(reversed(doc.items()))),
+        '{"n": 5, "k": 3, "witness": %s, "Q": %s}' % (W, Q),
+        '{"n": 5, "k": 3, "Q": %s, "witness": %s}' % (Q, W),
+        compact.replace(",", ",\r\n\t").replace(":", "\t:\r\n "),
+        '{"note": %s, "note2": "]]", %s' % (note, rest),
+        compact.replace('"Q"', r'"\u0051"'),
+        '{"Q": [[[1.0]]], ' + rest,
+        '{"Q": [[[1.0]]], ' + compact.replace('"Q"', r'"\u0051"')[1:],
+        '{"Q": 7, ' + rest,
+        compact[:-2] + ', "Q": [[[9.0]]]}}',
+        '{"n": 1, "k": 2, "Q": [ [[1]] ,\n[[2]] ]}',
+    ]
+    invalid = [
+        '["Q", [[[1]]]]',
+        '{"n": 1, "k": 2, "Q": [[[1]] x [[2]]]}',
+        '{"n": 1, "k": 2, "Q": [[[1]],,[[2]]]}',
+        '{"n": 1, "k": 2, "Q": [[[1]], [[2]],]}',
+        '{"n": 1, "k": 2, "Q": [x [[1]], [[2]]]}',
+        '{"n": 1, "k": 2, "Q": [1, 2]}',
+        '{"n": 1, "k": 2, "Q": [[[1]], 2]}',
+        '{"n": 1, "k": 1, "Q": [[[1]]}}',
+        '{"n": 1, "k": 1, "Q": [[[1]]]',
+        '{"n": 1, "k": 1, "Q": [[[1]]], "note": "abc}',
+        '{"n": 1, "k": 1, "Q": [[[1}]]}',
+        '{"n": 1, "k": 1, "Q": [[[1]]], "bad": "\\x"}',
+        '{"n": 1, "k": 1, "Q": [[[1]]], "Q": 5}',
+        '{"n": 1, "k": 1, "Q": [[[1]]], "Q": {"a": [[[1]]]}}',
+        compact + " x",
+        compact + " {}",
+    ]
+    path = tmp_path / "inst.json"
+    for text in valid + invalid:
+        path.write_bytes(text.encode())
+        got = _outcome(load_instance, path)
+        assert got == _outcome(_reference_load, path), text
+        assert isinstance(got, tuple) == (text in valid), text
+    # the valid documents take the per-form path, not the whole-text parse
+    assert all(_q_spans(text.encode()) is not None for text in valid)
+    path.write_bytes(b'{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\xff"}')
+    assert _outcome(load_instance, path) is InstanceFormatError
+
+
+def test_loader_differences_from_stdlib_json(tmp_path):
+    # the three documents that load_instance reads otherwise than stdlib json
+    path = tmp_path / "inst.json"
+    # NaN and Infinity literals: still rejected, now as invalid JSON
+    for lit in ("NaN", "Infinity", "-Infinity"):
+        path.write_text('{"n": 1, "k": 1, "Q": [[[%s]]]}' % lit)
+        with pytest.raises(InstanceFormatError, match="not finite"):
+            _reference_load(path)
+        with pytest.raises(InstanceFormatError, match="invalid JSON"):
+            load_instance(str(path))
+    # an integer beyond 64 bits loads as the nearest float; stdlib json
+    # keeps the int, which numpy gives an object dtype
+    path.write_text('{"n": 1, "k": 1, "Q": [[[%d]]]}' % 2 ** 70)
+    with pytest.raises(InstanceFormatError, match="numbers only"):
+        _reference_load(path)
+    qmap, _ = load_instance(str(path))
+    assert qmap.Q[0, 0, 0] == 1.1805916207174113e+21 == float(2 ** 70)
+    # a lone surrogate in a string that the loader does not read
+    path.write_text('{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\\ud800"}')
+    assert _reference_load(path)[0].k == 1
+    with pytest.raises(InstanceFormatError, match="invalid JSON"):
+        load_instance(str(path))
 
 
 def test_points_witness_loads_as_matrix():

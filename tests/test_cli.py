@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from quadround import (QuadraticMap, SimplexVector, kl_divergence,
-                       load_instance, precondition)
+from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
+                       instance_to_json, kl_divergence, load_instance,
+                       precondition)
 from quadround.bounds import BoundReport
 from quadround.cli import main, result_digest
+from quadround.instances import random_map, random_witness
 from quadround.linalg import LinalgError, NotPositiveDefinite
 import quadround.bounds as bounds_mod
 import quadround.cli as cli_mod
@@ -60,6 +62,75 @@ def test_gen_with_witness(tmp_path):
     assert X is not None
     total = float(np.einsum("kij,ij->", qmap.Q, X))
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _indent_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({}, id="empty-dict"),
+    pytest.param([], id="empty-list"),
+    pytest.param([[]], id="nested-empty"),
+    pytest.param({"a": [], "b": {}, "c": [{}]}, id="empty-members"),
+    pytest.param([1.0, NAN, 2.0], id="nan-row"),
+    pytest.param([INF, -INF], id="inf-row"),
+    pytest.param({"x": [[0.5, NAN], [INF, 1.0]], "y": NAN}, id="non-finite-nested"),
+    pytest.param([-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308,
+                  0.1, -3.2e-06, 9.622720028167625e-05], id="float-spellings"),
+    pytest.param([1, True, None, 2.5, False, -0.0], id="mixed-scalars"),
+    pytest.param([np.float64(1.5), 2.0, np.float64(1e-05)], id="np-float-in-list"),
+    pytest.param({"v": np.float64(0.1), "w": np.float64(-0.0)}, id="np-float-values"),
+    pytest.param(np.float64(3.25), id="np-float-top"),
+    pytest.param({"t": (1.0, 2.0), "u": ((1.0,), [2.0, (3, None)])}, id="tuples"),
+    pytest.param({1: 2.0}, id="int-key"),
+    pytest.param({2: [3.0], 1: {"a": 1}, 10: None}, id="int-keys-nested"),
+    pytest.param({"k": {True: 1, 0.25: None, 1.5: [0.5]}}, id="scalar-keys"),
+    pytest.param({"é": "ü \"quoted\" back\\slash\nnew line",
+                  " ": ["\t", "日本"]}, id="strings"),
+    pytest.param({"outer": {"inner": {"rows": [[1.0, 2.0], [3.0], [NAN]]}},
+                  "n": 3, "ok": True, "none": None}, id="deep"),
+])
+def test_dump_json_matches_indent_encoder(doc):
+    assert cli_mod._dump_json(doc) == _indent_json(doc)
+
+
+@pytest.mark.parametrize("doc", [np.int64(3), [1.0, np.int64(3)],
+                                 {"a": {1, 2}}, {1, 2}],
+                         ids=["np-int", "np-int-in-list", "nested-set", "set"])
+def test_dump_json_raises_like_json(doc):
+    with pytest.raises(Exception) as expected:
+        _indent_json(doc)
+    with pytest.raises(expected.type):
+        cli_mod._dump_json(doc)
+
+
+def test_cli_json_files_match_indent_encoder(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert run_cli("--quiet", "gen", "--n", "64", "--k", "10", "--seed", "3",
+                   "--condition-cap", "1e4", "--witness-random",
+                   "--out", str(inst)) == 0
+    sampler = GaussianSampler(3)
+    qmap = random_map(sampler, 64, 10, 1e4)
+    witness = random_witness(sampler.substream(10), qmap)
+    assert inst.read_text() == _indent_json(instance_to_json(qmap, witness))
+
+    files = [inst, tmp_path / "r1.json", tmp_path / "rm.json",
+             tmp_path / "constants.json", tmp_path / "lemma51.json"]
+    assert run_cli("--quiet", "round", str(inst), "--rank-one", "--budget",
+                   "200", "--seed", "1", "--out", str(files[1])) == 0
+    assert run_cli("--quiet", "round", str(inst), "--rank-m", "4", "--budget",
+                   "50", "--seed", "1", "--out", str(files[2])) == 0
+    assert run_cli("--quiet", "verify", "--suite", "constants", "--seed", "1",
+                   "--json", str(files[3])) == 0
+    assert run_cli("--quiet", "verify", "--suite", "lemma51", "--seed", "1",
+                   "--samples", "1e4", "--json", str(files[4])) == 0
+    for path in files:
+        text = path.read_text()
+        assert text == _indent_json(json.loads(text)), path.name
 
 
 def test_round_symmetric_instance_zero_kl(tmp_path):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, polygamma
 
@@ -99,6 +98,9 @@ def gauss_log_moments() -> tuple[float, float]:
     range at x = 1 (QUADPACK adapts to the endpoint). Raises if the reported
     quadrature error exceeds abs_tol = DEFAULTS.quad_abs.
     """
+    # imported here, its only use, so other commands skip the import
+    from scipy.integrate import quad
+
     abs_tol = DEFAULTS.quad_abs
 
     def integrate(f) -> float:

@@ -203,7 +203,10 @@ def evaluate_batch(Qstack: np.ndarray, pts: np.ndarray) -> np.ndarray:
     One BLAS contraction per form: pts @ Q_i is written into a single
     (b, n) scratch buffer, and its row-wise dot with pts gives column i.
     Extra memory is O(b n) whatever k is; no (b, k n) intermediate and no
-    copy of Qstack is made.
+    copy of Qstack is made. It costs 2 k n^2 flops per row. Rounding
+    calls it for rank-one draws and narrow rank-m batches; a wider batch
+    needs only its sums over the pushes, which rounding takes from the
+    batch's Gram matrix instead.
     """
     out = np.empty((pts.shape[0], Qstack.shape[0]))
     buf = np.empty(pts.shape)

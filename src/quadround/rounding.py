@@ -12,6 +12,12 @@ a single draw:
   rank-m:    Y = (sum_j ||T x_j||^2)^-1 sum_j (T x_j)(T x_j)'  gives
              b_i = <Q_i, Y>, a convex combination of at most m image points.
 
+A batch needs only the sums sum_j q_i(T x_j) = <Q_i, sum_j (T x_j)(T x_j)'>.
+Narrow batches get them by evaluating the map at every push; batches wide
+enough that a block holds at most k of them get them from their Gram
+matrices: 2 n^2 flops per push and 2 k n^2 per batch, against 2 k n^2 per
+push.
+
 One acceptance predicate certifies the distance, with closed inequalities
 and thresholds set by the batch width (primes denote the rescaled forms
 with <Q'_i, A> = 1): a draw with ||T x||^2 <= 6 and
@@ -179,8 +185,14 @@ def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
     Computes a from the witness (the one place it is computed), solves the
     relaxation, factors A = T^2 and pushes the batches through T in fixed
     blocks, one substream per block, redrawing any batch whose pushes are
-    all zero. Each block is evaluated once; b of a batch is
-    sum_j q(T x_j) / sum_j ||T x_j||^2 by homogeneity. The minimum-KL batch
+    all zero. A batch is scored by its sums s_i = sum_j q_i(T x_j): b is
+    s / sum_j ||T x_j||^2 by homogeneity and the log-score uses s / m.
+    Rank-one draws, and batches narrow enough that a block holds more than
+    k of them, sum ``evaluate_batch`` over the pushes. Wider batches take
+    s_i = <Q_i, G> from their Gram matrices G = sum_j (T x_j)(T x_j)',
+    with one product of the block's Grams and the flattened forms; the
+    rule keeps the Grams no larger than the (k, n, n) form stack. The
+    paths agree to roundoff. The minimum-KL batch
     (lowest index wins ties) becomes the certificate: for rank-one the unit
     point y = T x / ||T x|| with b = psi(y); for rank-m the spectahedron
     point Y = sum_j (T x_j)(T x_j)' / sum_j ||T x_j||^2 with b_i = <Q_i, Y>,
@@ -194,11 +206,14 @@ def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
     a = hull_point_from_witness(qmap, witness)
     sol = solve(qmap, a, tol=tol)
     Tt = sqrt_psd(sol.X_star).T
-    Qstack, av, tau, n = qmap.Q, a.values, sol.rescale, qmap.n
+    Qstack, av, tau, n, k = qmap.Q, a.values, sol.rescale, qmap.n, qmap.k
     log_a = np.log(av)
     width = 1 if m is None else m
     per_block = max(1, _BLOCK // width)
     nblocks = (budget + per_block - 1) // per_block
+    # a block's (nb, n, n) Grams are then no larger than the (k, n, n) forms
+    gram = width > 1 and per_block <= k
+    Qflat = Qstack.reshape(k, -1).T
 
     def run_block(bi: int):
         nb = (per_block if bi < nblocks - 1
@@ -215,10 +230,15 @@ def _round(prec: PreconditionedMap, witness: SpectahedronPoint,
             tx[need[good]] = cand[good]
             need = need[~good]
         S = np.einsum("bmi,bmi->bm", tx, tx).sum(axis=1)
-        qvals = evaluate_batch(Qstack, tx.reshape(-1, n)).reshape(nb, width, -1)
-        bvals = qvals.sum(axis=1) / S[:, None]
+        if gram:
+            G = np.matmul(tx.transpose(0, 2, 1), tx)
+            qsum = G.reshape(nb, -1) @ Qflat
+        else:
+            qsum = evaluate_batch(Qstack, tx.reshape(-1, n)).reshape(
+                nb, width, -1).sum(axis=1)
+        bvals = qsum / S[:, None]
         kl = np.einsum("k,bk->b", av, log_a[None, :] - np.log(bvals))
-        log_score = np.einsum("k,bk->b", av, np.log(qvals.mean(axis=1) * tau))
+        log_score = np.einsum("k,bk->b", av, np.log(qsum / width * tau))
         acc = int(np.count_nonzero(acceptance(S / width, log_score, m)))
         best = int(np.argmin(kl))
         return float(kl[best]), tx[best], acc, drawn

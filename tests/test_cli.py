@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        instance_to_json, kl_divergence, load_instance,
@@ -15,7 +16,6 @@ from quadround.bounds import BoundReport
 from quadround.cli import main, result_digest
 from quadround.instances import random_map, random_witness
 from quadround.linalg import LinalgError, NotPositiveDefinite
-import quadround.bounds as bounds_mod
 import quadround.cli as cli_mod
 import quadround.entropic_sdp as sdp_mod
 import quadround.rounding as rounding_mod
@@ -582,8 +582,9 @@ def test_round_quiet_after_subcommand(tmp_path, capsys):
     (sdp_mod, "_evaluate", AssertionError("some <Q_i, X> <= 0")),
     (rounding_mod, "kl_divergence", AssertionError("KL came out -1e-03")),
     (cli_mod, "random_witness", ArithmeticError("degenerate Wishart draw")),
-    # a quadrature error estimate above DEFAULTS.quad_abs
-    (bounds_mod, "quad", None),
+    # a quadrature error estimate above DEFAULTS.quad_abs; bounds imports
+    # quad when it integrates, so the patch goes on scipy.integrate
+    (scipy.integrate, "quad", None),
 ], ids=["LinalgError", "AssertionError-inner-values", "AssertionError-kl",
         "ArithmeticError-witness", "ArithmeticError-quadrature"])
 def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys, module, attr,
@@ -600,7 +601,7 @@ def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys, module, attr,
         raise exc
     monkeypatch.setattr(module, attr, failing)
     argv = (["verify", "--suite", "constants", "--seed", "1"]
-            if module is bounds_mod else
+            if module is scipy.integrate else
             ["round", str(inst), "--rank-one", "--seed", "1",
              "--witness-random"])
     assert run_cli("--quiet", *argv) == 3
@@ -657,3 +658,13 @@ def test_console_script_installed():
     assert proc.returncode == 0
     for sub in ("gen", "round", "verify", "report"):
         assert sub in proc.stdout
+
+
+def test_cli_import_skips_quadrature():
+    # only the constants suite integrates, so no other command should pay
+    # for importing scipy.integrate
+    code = "import sys, quadround.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -10,6 +10,9 @@ from quadround import (GaussianSampler, PreconditionedMap, QuadraticMap,
                        round_rank_m, round_rank_one, solve, sphere_max_oracle,
                        sqrt_psd)
 
+from quadround.quadmap import evaluate_batch
+import quadround.rounding as rounding_mod
+
 from conftest import make_map, make_preconditioned, pinsker_lower_bound
 
 
@@ -336,7 +339,14 @@ def _round_mode(prec, X, m, seed, budget, threads=1):
     return round_rank_m(prec, X, m, sampler, budget=budget, threads=threads)
 
 
-@pytest.mark.parametrize("m, budget", [(None, 300), (4, 70)])
+# Budgets of two blocks, the second ragged: 256 + 44 draws for rank-one,
+# 64 + 6 batches of 4 and 4 + 2 batches of 64 for rank-m. On these k = 4
+# maps a block holds more than k batches of 4, which evaluate_batch scores,
+# and k batches of 64, which their Gram matrices score.
+WIDTHS = [(None, 300), (4, 70), (64, 6)]
+
+
+@pytest.mark.parametrize("m, budget", WIDTHS)
 def test_round_redraws_zero_push(monkeypatch, m, budget):
     # Block 0's first request (a full block) gets an all-zero first draw
     # (a whole zero batch for rank-m); the kernel must redraw it.
@@ -355,30 +365,30 @@ def test_round_redraws_zero_push(monkeypatch, m, budget):
     monkeypatch.setattr(GaussianSampler, "normals", normals)
     width = 1 if m is None else m
     outs = []
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         out = _round_mode(prec, Xh, m, 72, budget, threads)
         assert out.samples_drawn == budget * width + width
         assert math.isfinite(out.kl) and out.kl == kl_divergence(a, out.b)
         assert abs(float(out.b.values.sum()) - 1.0) <= 1e-12
         outs.append(out)
-    assert len(zeroed) == 2
-    assert outs[0].kl == outs[1].kl
-    assert np.array_equal(outs[0].points, outs[1].points)
-    assert outs[0].accepted_count == outs[1].accepted_count
+    assert len(zeroed) == 3
+    for out in outs[1:]:
+        assert out.kl == outs[0].kl
+        assert np.array_equal(out.points, outs[0].points)
+        assert out.accepted_count == outs[0].accepted_count
 
 
-@pytest.mark.parametrize("m, budget", [(None, 300), (4, 70)])
+@pytest.mark.parametrize("m, budget", WIDTHS)
 def test_round_matches_explicit_reference(m, budget):
-    # Budgets span two blocks with a ragged last one: 256 + 44 draws for
-    # rank-one, 64 + 6 batches of 4 for rank-m. A rank-one witness puts a on
-    # the boundary of the hull, so some draws fail each rank-one inequality
-    # and some batches the rank-m norm cap.
+    # A rank-one witness puts a on the boundary of the hull, so some draws
+    # fail each rank-one inequality and some batches the rank-m norm cap.
     prec, seed = precondition(make_map(65, 5, 4)), 66
     qmap = prec.hat
     u = GaussianSampler(70).normals((5,))
     Xh = SpectahedronPoint(np.outer(u, u) / (u @ u))
     a = hull_point_from_witness(qmap, Xh)
-    out = _round_mode(prec, Xh, m, seed, budget)
+    outs = [_round_mode(prec, Xh, m, seed, budget, threads)
+            for threads in (1, 2, 3)]
 
     sol = solve(qmap, a)
     T = sqrt_psd(sol.X_star)
@@ -401,9 +411,39 @@ def test_round_matches_explicit_reference(m, budget):
             else:
                 accepted += (sq / m <= 1.0 + 3.0 / math.sqrt(m)
                              and score >= -12.0 / math.sqrt(m))
-    assert out.samples_drawn == drawn == budget * width
-    assert out.accepted_count == accepted
-    assert abs(out.kl - min(kls)) <= 1e-12
+    for out in outs:
+        assert out.samples_drawn == drawn == budget * width
+        assert out.accepted_count == accepted
+        assert abs(out.kl - min(kls)) <= 1e-12
+        assert out.kl == outs[0].kl
+        assert np.array_equal(out.points, outs[0].points)
+
+
+@pytest.mark.parametrize("cap", [1e2, 1e6])
+def test_gram_sums_match_evaluate_batch(cap):
+    # A wide batch's sums <Q_i, G>, with G the Gram matrix of its pushes,
+    # computed as the kernel does, against the per-push values summed.
+    Qstack = precondition(make_map(81, 12, 5, cap)).hat.Q
+    k, n = Qstack.shape[:2]
+    tx = GaussianSampler(82).normals((5, 64, n)) * np.logspace(-3, 0, n)
+    G = np.matmul(tx.transpose(0, 2, 1), tx)
+    gram = G.reshape(5, -1) @ Qstack.reshape(k, -1).T
+    ref = evaluate_batch(Qstack, tx.reshape(-1, n)).reshape(5, 64, k).sum(axis=1)
+    assert np.max(np.abs(gram - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("m, k, gram", [(2, 5, False), (16, 5, False),
+                                        (16, 20, True), (64, 4, True)])
+def test_round_scores_wide_batches_by_gram(monkeypatch, m, k, gram):
+    # Gram matrices score a batch exactly when a block holds at most k
+    # batches (256 // m <= k), so a block's Grams never outgrow the forms.
+    calls = []
+    real = rounding_mod.evaluate_batch
+    monkeypatch.setattr(rounding_mod, "evaluate_batch",
+                        lambda Q, pts: calls.append(pts.shape) or real(Q, pts))
+    prec, Xh = make_preconditioned(91, 3, k)
+    round_rank_m(prec, Xh, m, GaussianSampler(92), budget=3)
+    assert calls == ([] if gram else [(3 * m, 3)])
 
 
 # --- decomposition ------------------------------------------------------

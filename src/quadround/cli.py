@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from ._util import canonical_json, sha256_file, sha256_hex
 from .config import DEFAULTS
@@ -56,8 +57,8 @@ def _dump_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     json's indent encoder is pure Python and takes over a second on a
-    large instance's floats. Here a row of exact floats is one C-level
-    repr.
+    large instance's floats. Here orjson writes each row of exact floats,
+    and repr re-spells the few tokens orjson formats otherwise.
     """
     parts = []
     _write_json(doc, "\n", parts)
@@ -78,12 +79,20 @@ def _write_json(obj, nl: str, parts: list) -> None:
             sep = "," + inner
         parts.append(nl + "}")
     elif type(obj) is list and obj:
-        # repr spells an exact float as json does; nan and inf, which json
-        # spells NaN and Infinity, are the only reprs with an "n".
+        # orjson and repr give a float the same shortest round-trip digits,
+        # but orjson writes values below 1e-4 positionally (0.00001) and
+        # exponents without sign or zero padding (-3.2e-6, 1e16). repr
+        # re-spells each token with an "e" or "0.0000"; a false hit such as
+        # 10.00001 comes back unchanged. orjson writes nan and inf, which
+        # json spells NaN and Infinity, as null: such a row goes item by item.
         if set(map(type, obj)) == {float}:
-            text = repr(obj)
-            if "n" not in text:
-                parts.append("[" + inner + text[1:-1].replace(", ", "," + inner)
+            text = orjson.dumps(obj).decode()[1:-1]
+            if "null" not in text:
+                if "e" in text or "0.0000" in text:
+                    text = ",".join(
+                        repr(float(tok)) if "e" in tok or "0.0000" in tok
+                        else tok for tok in text.split(","))
+                parts.append("[" + inner + text.replace(",", "," + inner)
                              + nl + "]")
                 return
         sep = "[" + inner

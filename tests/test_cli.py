@@ -98,6 +98,42 @@ def test_dump_json_matches_indent_encoder(doc):
     assert cli_mod._dump_json(doc) == _indent_json(doc)
 
 
+def _fuzz_doc(kind, seed):
+    rng = np.random.default_rng(seed)
+
+    def bits(size):
+        return np.frombuffer(rng.bytes(8 * size), dtype=np.uint64)
+
+    if kind == "bit-patterns":
+        x = bits(20_000).view(np.float64)
+        x = x[np.isfinite(x)]
+    elif kind == "subnormals":
+        x = (bits(10_000) & np.uint64((1 << 63) | ((1 << 52) - 1))).view(np.float64)
+    elif kind == "magnitudes":
+        x = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-9, 21, 10_000)
+    else:  # boundaries
+        edges = [9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16, -0.0,
+                 0.0, 5e-324, 1.7976931348623157e308, 1e-5, 10.00001]
+        x = rng.choice(edges + [-v for v in edges], 10_000)
+    rows = [x[i:i + 200].tolist() for i in range(0, len(x) - 199, 200)]
+    return {"rows": rows,
+            "cube": x[:len(x) // 100 * 100].reshape(-1, 10, 10).tolist()}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["bit-patterns", "subnormals", "magnitudes",
+                                  "boundaries"])
+def test_dump_json_spells_floats_as_json(kind, seed):
+    doc = _fuzz_doc(kind, seed)
+    assert cli_mod._dump_json(doc) == _indent_json(doc)
+    # Rows that orjson cannot write as json does go item by item.
+    rng = np.random.default_rng(seed)
+    for row in doc["rows"][:20]:
+        row[rng.integers(len(row))] = [NAN, INF, -INF, 3, True, None][
+            rng.integers(6)]
+    assert cli_mod._dump_json(doc) == _indent_json(doc)
+
+
 @pytest.mark.parametrize("doc", [np.int64(3), [1.0, np.int64(3)],
                                  {"a": {1, 2}}, {1, 2}],
                          ids=["np-int", "np-int-in-list", "nested-set", "set"])

@@ -4,22 +4,31 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 
 def map_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate fn(i) for i in range(count), returning results in index order.
 
-    With threads > 1 the calls run on a thread pool; results are gathered by
-    index, so the output is identical to the sequential run. Callers must make
-    fn(i) independent of evaluation order (disjoint RNG substreams).
+    With threads > 1 the calls run on a pool of at most threads, count and
+    usable-CPU workers; results are gathered by index, so the output is
+    identical to the sequential run. Callers must make fn(i) independent of
+    evaluation order (disjoint RNG substreams).
     """
-    if count <= 0:
-        return []
-    if threads <= 1 or count == 1:
+    workers = min(threads, count, _usable_cpus())
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def canonical_json(obj) -> str:

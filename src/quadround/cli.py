@@ -331,8 +331,10 @@ _samples = _checked(_integral, lambda v: v >= MIN_SAMPLES,
 def build_parser() -> argparse.ArgumentParser:
     def global_flags(p, threads, quiet):
         p.add_argument("--threads", type=_positive_int, default=threads,
-                       help="worker threads for draws and Monte Carlo "
-                            "(results are identical for any value)")
+                       help="worker threads for rounding draws and the "
+                            "Monte Carlo suites, at most one per usable CPU; "
+                            "the sandwich suite runs serially (results are "
+                            "identical for any value)")
         p.add_argument("--quiet", action="store_true", default=quiet,
                        help="suppress human-readable output")
 

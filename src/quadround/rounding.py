@@ -60,6 +60,9 @@ from .quadmap import (PreconditionedMap, SimplexVector, SpectahedronPoint,
 # thread count or available memory.
 _BLOCK = 256
 
+# Normals per chunk of GaussianSampler.normals; the values do not depend on it.
+_NORMALS_CHUNK = 1 << 16
+
 
 class GaussianSampler:
     """Deterministic standard normal stream: Box-Muller over Philox uniforms.
@@ -67,9 +70,9 @@ class GaussianSampler:
     A fixed seed reproduces the exact sample sequence. ``substream(i)``
     derives an independent stream (a 2^128 jump of the counter per index),
     intended for one level of fan-out: consumers take disjoint indices and
-    do not hand the parent stream out again. ``mean_squares`` draws means of
-    squared normals from the same generator, as exact Gamma variates when
-    more than one normal is averaged.
+    do not hand the parent stream out again. ``mean_square_rows`` streams
+    means of squared normals from the same generator, as exact Gamma
+    variates when more than one normal is averaged.
     """
 
     __slots__ = ("seed", "jumps", "_gen")
@@ -98,35 +101,79 @@ class GaussianSampler:
         if np.isscalar(shape):
             shape = (int(shape),)
         count = int(np.prod(shape)) if shape else 1
+        out = np.empty(count + count % 2)
+        ends = [*range(_NORMALS_CHUNK, count, _NORMALS_CHUNK), count]
+        for _ in self._box_muller(count, ends, out):
+            pass                    # each piece lands in out
+        return out[:count].reshape(shape)
+
+    def mean_square_rows(self, m: int, rows: int, k: int, chunk: int):
+        """Yield a (rows, k) array of means of m squared standard normals
+        as (r, k) pieces of ``chunk`` (even) rows; advances the stream.
+
+        m = 1 squares Box-Muller normals in place. For m >= 2 each mean is
+        drawn from its exact law Gamma(m/2, scale 2/m) (a chi-square with m
+        degrees of freedom over m), so the cost does not grow with m. Either
+        way the pieces join to the values of one request for the whole
+        array, and leave the stream where it would. A last single row joins
+        the piece before it: numpy sends a one-row matrix-vector product to
+        its dot routine, which rounds otherwise than the matrix-vector one.
+        Every piece lives in a buffer that the next one re-uses.
+        """
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        ends = [*range(chunk, rows, chunk), rows]
+        if len(ends) > 1 and ends[-1] - ends[-2] == 1:
+            del ends[-2]
+        ends = [e * k for e in ends]
+        if m == 1:
+            for z in self._box_muller(rows * k, ends):
+                yield np.multiply(z, z, out=z).reshape(-1, k)
+            return
+        buf = np.empty(_widest(ends))
+        start = 0
+        for end in ends:
+            g = buf[: end - start]
+            self._gen.standard_gamma(0.5 * m, out=g)
+            g *= 2.0 / m
+            yield g.reshape(-1, k)
+            start = end
+
+    def _box_muller(self, count: int, ends, out=None):
+        """Yield ``count`` standard normals in pieces that end at the
+        offsets ``ends`` (ascending, even but for the last, which is count).
+
+        Box-Muller reads every radius uniform of a request before any angle
+        uniform, so the radii R = sqrt(-2 ln(1 - u)) are computed for the
+        whole request and the angles are drawn and used one piece at a time:
+        the same stream, and the same contiguous ufunc loops, as one draw,
+        so the same bits. A piece is a view of ``out`` (flat, of even length
+        at least count) when given, else of one re-used buffer.
+        """
         npairs = (count + 1) // 2
-        # one draw holds u1 then u2, the same stream as two draws; every
-        # step runs in place, on contiguous arrays as the out-of-place form
-        # did, so the same ufunc loops give the same bits
-        u = self._gen.random(2 * npairs)
-        r, theta = u[:npairs], u[npairs:]
+        r = self._gen.random(npairs)
         np.subtract(1.0, r, out=r)  # in (0, 1], keeps the log finite
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        theta *= 2.0 * math.pi
-        z = np.empty((npairs, 2))
-        np.multiply(r, np.cos(theta, out=np.empty(npairs)), out=z[:, 0])
-        np.multiply(r, np.sin(theta, out=theta), out=z[:, 1])
-        return z.reshape(-1)[:count].reshape(shape)
+        if out is None:
+            buf = np.empty(((_widest(ends) + 1) // 2, 2))
+        start = 0
+        for end in ends:
+            p0, p1 = start // 2, (end + 1) // 2
+            theta = self._gen.random(p1 - p0)
+            theta *= 2.0 * math.pi
+            z = (buf[: p1 - p0] if out is None
+                 else out[2 * p0: 2 * p1].reshape(-1, 2))
+            np.multiply(r[p0:p1], np.cos(theta), out=z[:, 0])
+            np.multiply(r[p0:p1], np.sin(theta, out=theta), out=z[:, 1])
+            yield z.reshape(-1)[: end - start]
+            start = end
 
-    def mean_squares(self, m: int, shape) -> np.ndarray:
-        """Means of m squared standard normals, elementwise; advances the stream.
 
-        m = 1 squares Box-Muller normals. For m >= 2 each mean is drawn from
-        its exact law Gamma(m/2, scale 2/m) (a chi-square with m degrees of
-        freedom over m), so the cost does not grow with m.
-        """
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        if m == 1:
-            z = self.normals(shape)
-            return np.multiply(z, z, out=z)
-        return self._gen.standard_gamma(0.5 * m, size=shape) * (2.0 / m)
+def _widest(ends) -> int:
+    """Longest piece of a split at the ascending offsets ``ends``."""
+    return max(b - a for a, b in zip([0, *ends], ends))
 
 
 @dataclass

@@ -17,7 +17,11 @@ made for it. The m-fold average q_m = (1/m) sum_j q(x_j) of a diagonal form
 is sum_i lambda_i G_i with independent G_i ~ Gamma(m/2, scale 2/m), an
 exact identity; for m >= 2 it is drawn that way, so a sample costs n
 variates rather than m * n normals (the tests keep a direct Gaussian
-m-fold average as an independent cross-check).
+m-fold average as an independent cross-check). A suite hands every
+(estimate, block) pair to one thread pool as one task. _MC_BLOCK_ELEMS
+fixes the blocks, one RNG substream each, and so the values; the row chunk
+_MC_CHUNK_ROWS in which a block draws and reduces its samples only bounds
+its memory.
 
 Every Monte Carlo assertion leaves a 3 * stderr margin so that a fixed-seed
 suite fails only on a real bound violation, not on sampling noise.
@@ -39,9 +43,15 @@ from .instances import random_map
 from .quadmap import QuadraticMap, SimplexVector
 from .rounding import GaussianSampler
 
-# Block size in variates (n per sample) for chunked Monte Carlo accumulation;
-# fixed so the estimate is bit-identical regardless of thread count.
+# Block size in variates (n per sample) for chunked Monte Carlo accumulation,
+# one RNG substream per block; fixed so the estimate is bit-identical
+# regardless of thread count.
 _MC_BLOCK_ELEMS = 1 << 22
+
+# Rows of q_m a block draws and reduces at a time. It sets memory, not the
+# values: a multiple of 16 keeps OpenBLAS's matrix-vector product rounding
+# each row as the whole block's product does.
+_MC_CHUNK_ROWS = 1 << 13
 
 # Fewest samples a Monte Carlo estimate accepts.
 MIN_SAMPLES = 10 ** 3
@@ -251,33 +261,59 @@ def mc_estimates(lam: SimplexVector, m: int, samples: int,
 
     Each reducer maps an array of q_m values to per-sample values; the
     result holds one mean with its standard error per reducer, all from the
-    same ``samples`` draws. Blocks of n variates per sample draw from their
-    own substream, so the estimates are independent of thread scheduling.
+    same ``samples`` draws. The one-estimate case of ``mc_batch``.
     """
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    block = max(1, _MC_BLOCK_ELEMS // lam.k)
-    nblocks = (samples + block - 1) // block
+    return mc_batch([(lam, m, samples, sampler, reducers)], threads)[0]
 
-    def run_block(bi: int):
-        rows = block if bi < nblocks - 1 else samples - block * (nblocks - 1)
-        qm = sampler.substream(bi).mean_squares(m, (rows, lam.k)) @ lam.values
+
+def mc_batch(jobs, threads: int = 1) -> list[list[McEstimate]]:
+    """``mc_estimates`` for each job (lam, m, samples, sampler, reducers),
+    with every (job, block) pair one task of one thread pool.
+
+    A job's blocks of _MC_BLOCK_ELEMS variates draw from its sampler's
+    substreams, one per block, and each block's per-reducer totals are
+    summed in block order, so the estimates do not depend on the thread
+    count. A block streams its q_m values through the reduction in pieces
+    of _MC_CHUNK_ROWS rows, so it never holds its (rows, n) variates.
+    """
+    tasks = []
+    for j, (lam, m, samples, sampler, reducers) in enumerate(jobs):
+        if samples < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples")
+        block = max(1, _MC_BLOCK_ELEMS // lam.k)
+        nblocks = (samples + block - 1) // block
+        tasks += [(j, bi, min(block, samples - block * bi))
+                  for bi in range(nblocks)]
+
+    def run_task(i: int):
+        j, bi, rows = tasks[i]
+        lam, m, _samples, sampler, reducers = jobs[j]
+        qm = np.empty(rows)
+        r0 = 0
+        for sq in sampler.substream(bi).mean_square_rows(
+                m, rows, lam.k, _MC_CHUNK_ROWS):
+            qm[r0: r0 + sq.shape[0]] = sq @ lam.values
+            r0 += sq.shape[0]
         out = []
         for red in reducers:
             vals = red(qm)
             out.append((float(vals.sum()), float((vals * vals).sum())))
         return out
 
-    totals = np.zeros((len(reducers), 2))
-    for part in map_indexed(run_block, nblocks, threads):
-        totals += part
-    estimates = []
-    for s, sq in totals.tolist():
-        mean = s / samples
-        var = max(0.0, (sq - samples * mean * mean) / (samples - 1))
-        estimates.append(McEstimate(mean=mean, stderr=math.sqrt(var / samples),
-                                    samples=samples))
-    return estimates
+    totals = [np.zeros((len(job[4]), 2)) for job in jobs]
+    for (j, _bi, _rows), part in zip(tasks, map_indexed(run_task, len(tasks),
+                                                        threads)):
+        totals[j] += part
+    results = []
+    for (_lam, _m, samples, _sampler, _reducers), tot in zip(jobs, totals):
+        estimates = []
+        for s, sq in tot.tolist():
+            mean = s / samples
+            var = max(0.0, (sq - samples * mean * mean) / (samples - 1))
+            estimates.append(McEstimate(
+                mean=mean, stderr=math.sqrt(var / samples), samples=samples))
+        results.append(estimates)
+    return results
 
 
 def mc_abs_log_moment(lam: SimplexVector, samples: int,
@@ -330,10 +366,9 @@ def suite_lemma21(seed: int, samples: int = 10 ** 6, threads: int = 1):
         n = 2 + (i % 7)
         forms.append((f"form{i:02d}", _simplex_from(_derived_sampler(seed, i), n)))
     reducers = [abs_log] + [tail_indicator(t) for t in tail_ts]
-    for j, (name, form) in enumerate(forms):
-        est, *tails = mc_estimates(form, 1, samples,
-                                   _derived_sampler(seed, 20 + j),
-                                   reducers, threads)
+    jobs = [(form, 1, samples, _derived_sampler(seed, 20 + j), reducers)
+            for j, (_name, form) in enumerate(forms)]
+    for (name, _form), (est, *tails) in zip(forms, mc_batch(jobs, threads)):
         rows.append(BoundReport(
             f"abs_log_moment[{name}]", est.mean, 2.75,
             est.mean < 2.75 + 3.0 * est.stderr, "<"))
@@ -362,28 +397,30 @@ def suite_lemma51(seed: int, samples: int = 10 ** 6, threads: int = 1):
     3 * stderr. All three estimates of a form come from one pass of
     max(1e3, min(samples, 4e6 / m)) draws of q_m.
     """
-    rows = []
-    stream = 0
+    cases, jobs = [], []
     for m in (1, 4, 16, 100):
         n_samples = max(10 ** 3, min(samples, 4_000_000 // m))
         t_up = 1.0 + 3.0 / math.sqrt(m)
         t_lo = max(0.25, 1.0 - 3.0 / math.sqrt(m))
         reducers = [tail_indicator(t_up), tail_indicator(t_lo), abs_log]
         for j in range(5):
+            stream = 2 * len(jobs)
             lam = _simplex_from(_derived_sampler(seed, stream), 2 + j)
-            up, lo, est = mc_estimates(lam, m, n_samples,
-                                       _derived_sampler(seed, stream + 1),
-                                       reducers, threads)
-            stream += 2
-            for t, tail in ((t_up, up), (t_lo, lo)):
-                bound = laplace_tail_upper(m, t)
-                rows.append(BoundReport(
-                    f"tail[m={m}, form{j}, t={t:.3f}]", tail.mean, bound,
-                    tail.mean <= bound + 3.0 * tail.stderr, "<="))
-            bound = rank_m_abs_log(m)
+            cases.append((m, j, t_up, t_lo))
+            jobs.append((lam, m, n_samples,
+                         _derived_sampler(seed, stream + 1), reducers))
+    rows = []
+    for (m, j, t_up, t_lo), (up, lo, est) in zip(cases,
+                                                  mc_batch(jobs, threads)):
+        for t, tail in ((t_up, up), (t_lo, lo)):
+            bound = laplace_tail_upper(m, t)
             rows.append(BoundReport(
-                f"abs_log_moment[m={m}, form{j}]", est.mean, bound,
-                est.mean <= bound + 3.0 * est.stderr, "<="))
+                f"tail[m={m}, form{j}, t={t:.3f}]", tail.mean, bound,
+                tail.mean <= bound + 3.0 * tail.stderr, "<="))
+        bound = rank_m_abs_log(m)
+        rows.append(BoundReport(
+            f"abs_log_moment[m={m}, form{j}]", est.mean, bound,
+            est.mean <= bound + 3.0 * est.stderr, "<="))
     return rows, {}
 
 

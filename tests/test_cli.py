@@ -574,6 +574,81 @@ def test_verify_json_bytes_independent_of_threads(tmp_path, monkeypatch,
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("suite", ["lemma21", "lemma51"])
+def test_mc_suite_json_equal_across_threads_at_default_blocks(
+        tmp_path, monkeypatch, suite):
+    # at the default block size every (estimate, block) pair of a suite is
+    # one task of one pool, so the pool runs many tasks even when each
+    # estimate fits in one block
+    tasks = []
+    real = verify_mod.map_indexed
+
+    def spy(fn, count, threads=1):
+        tasks.append(count)
+        return real(fn, count, threads)
+
+    monkeypatch.setattr(verify_mod, "map_indexed", spy)
+    outs = []
+    for threads in ("1", "2", "3"):
+        js = tmp_path / f"{suite}-{threads}.json"
+        assert run_cli("--quiet", "--threads", threads, "verify", "--suite",
+                       suite, "--seed", "4", "--samples", "1e4",
+                       "--json", str(js)) == 0
+        outs.append(js.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert len(tasks) == 3 and min(tasks) > 1, tasks
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no
+    thread and maps in the calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_capped_by_usable_cpus(monkeypatch, tmp_path):
+    import quadround._util as util_mod
+    monkeypatch.setattr(util_mod, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(util_mod.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    assert util_mod.map_indexed(lambda i: i * i, 100, 4096) == [
+        i * i for i in range(100)]
+    assert util_mod.map_indexed(lambda i: i, 2, 4096) == [0, 1]
+    assert util_mod.map_indexed(lambda i: i, 100, 2) == list(range(100))
+    assert _RecordingPool.sizes == [3, 2, 2]
+    # a serial run starts no pool
+    assert util_mod.map_indexed(lambda i: i, 100, 1) == list(range(100))
+    monkeypatch.setattr(util_mod.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert util_mod.map_indexed(lambda i: i, 100, 4096) == list(range(100))
+    assert _RecordingPool.sizes == [3, 2, 2]
+    # a huge --threads through the CLI asks for no more workers than CPUs
+    monkeypatch.setattr(util_mod.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    outs = []
+    for threads in ("1", "4096"):
+        js = tmp_path / f"t{threads}.json"
+        assert run_cli("--quiet", "--threads", threads, "verify", "--suite",
+                       "lemma21", "--seed", "1", "--samples", "1e4",
+                       "--json", str(js)) == 0
+        outs.append(js.read_bytes())
+    assert outs[0] == outs[1]
+    assert _RecordingPool.sizes == [3, 2, 2, 3]
+
+
 def test_verify_failure_exit5(monkeypatch):
     def failing_suite(seed, samples=0, threads=1):
         return [BoundReport("forced", 1.0, 0.0, False, "<=")], {}

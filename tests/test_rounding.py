@@ -63,18 +63,26 @@ def _box_muller_reference(gen, shape):
 
 
 def test_sampler_matches_out_of_place_box_muller():
-    # the in-place sampler gives the reference's bytes, and consumes the
-    # stream as it does, over one stream read by many requests
+    # the chunked in-place sampler gives the reference's bytes, and consumes
+    # the stream as it does, over one stream read by many requests: each
+    # request starts where the one before it left the stream, including
+    # requests of one pair less than, exactly and one pair more than one
+    # and two chunks
+    chunk = rounding_mod._NORMALS_CHUNK
     s = GaussianSampler(31)
     gen = np.random.Generator(np.random.Philox(key=31))
-    for shape in (0, 1, 2, 3, 10 ** 5 + 1, (), 7, (5, 7, 3), (0,), (4, 1)):
+    for shape in (0, 1, 2, 3, 10 ** 5 + 1, (), 7, (5, 7, 3), (0,), (4, 1),
+                  chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk,
+                  2 * chunk + 1, 5, (2, chunk + 1)):
         z = s.normals(shape)
         ref = _box_muller_reference(gen, shape)
         assert z.shape == ref.shape and z.tobytes() == ref.tobytes(), shape
-        sq = GaussianSampler(32).mean_squares(1, shape)
+    for rows, k in ((1, 1), (7, 3), (50, 3), (4097, 5)):
+        sq = np.concatenate([piece.copy() for piece in GaussianSampler(
+            32).mean_square_rows(1, rows, k, 64)])
         ref = _box_muller_reference(
-            np.random.Generator(np.random.Philox(key=32)), shape) ** 2
-        assert sq.tobytes() == ref.tobytes(), shape
+            np.random.Generator(np.random.Philox(key=32)), (rows, k)) ** 2
+        assert sq.tobytes() == ref.tobytes(), (rows, k)
 
 
 # --- acceptance predicate ----------------------------------------------

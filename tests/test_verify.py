@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,11 +312,60 @@ def test_mc_estimates_one_pass_matches_single_estimators():
         mc_estimates(form, 1, 999, GaussianSampler(13), [abs_log])
 
 
-def test_mean_squares_m1_is_squared_box_muller():
-    sq = GaussianSampler(14).mean_squares(1, (50, 3))
-    assert np.array_equal(sq, GaussianSampler(14).normals((50, 3)) ** 2)
+def test_mean_square_rows_m1_is_squared_box_muller():
+    pieces = list(GaussianSampler(14).mean_square_rows(1, 50, 3, 64))
+    assert len(pieces) == 1
+    assert np.array_equal(pieces[0], GaussianSampler(14).normals((50, 3)) ** 2)
     with pytest.raises(ValueError):
-        GaussianSampler(14).mean_squares(0, (5,))
+        next(GaussianSampler(14).mean_square_rows(0, 5, 1, 64))
+
+
+def _whole_block_q(lam, m, rows, seed):
+    """q_m of one block drawn as one (rows, k) array and one product."""
+    sub = GaussianSampler(seed).substream(0)
+    if m == 1:
+        sq = sub.normals((rows, lam.size)) ** 2
+    else:
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(1))
+        sq = gen.standard_gamma(0.5 * m, size=(rows, lam.size)) * (2.0 / m)
+    return sq @ lam
+
+
+@pytest.mark.parametrize("m", [1, 4, 100])
+def test_streamed_block_matches_whole_block_product(m):
+    # a block reduces its draws a row chunk at a time, never holding the
+    # (rows, k) array; its q_m values are those of one whole-array draw
+    # and product, bit for bit, whatever the last chunk's length
+    chunk = verify_mod._MC_CHUNK_ROWS
+    seen = []
+
+    def keep(q):
+        seen.append(q.copy())
+        return q
+
+    for k in range(1, 9):
+        lam = make_simplex(40 + k, k)
+        for rows in (chunk, chunk + 1, 2 * chunk + 17, 3 * chunk - 5):
+            seen.clear()
+            mc_estimates(lam, m, rows, GaussianSampler(k), [keep])
+            (q,) = seen
+            ref = _whole_block_q(lam.values, m, rows, k)
+            assert q.tobytes() == ref.tobytes(), (k, rows)
+
+
+def test_mc_block_memory():
+    # one lemma21 block (k = 8, 1e5 rows): the whole-array draw peaked at
+    # about 15 MB under tracemalloc; the streamed one holds the radii,
+    # q_m and one row chunk
+    lam = SimplexVector(np.full(8, 0.125))
+    tracemalloc.start()
+    try:
+        mc_estimates(lam, 1, 10 ** 5, GaussianSampler(3),
+                     [abs_log, tail_indicator(2.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6, peak
 
 
 def _direct_average(lam, m, rows, sampler):

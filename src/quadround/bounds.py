@@ -24,9 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, polygamma
-
 from .config import DEFAULTS
 
 
@@ -45,6 +42,9 @@ def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0, relative error well below 1e-10."""
     if x <= 0.0:
         raise ValueError("log_gamma requires x > 0")
+    # imported here, so gen, report and lemma51 never load scipy
+    from scipy.special import gammaln
+
     return float(gammaln(x))
 
 
@@ -69,6 +69,9 @@ def phi(t: float) -> float:
     """
     if t < 1.0:
         raise ValueError("phi is defined for t >= 1")
+    # imported here, so gen, report and lemma51 never load scipy
+    from scipy.optimize import brentq
+    from scipy.special import digamma
 
     def deriv(a: float) -> float:
         return float(digamma(a + 0.5)) - math.log(0.5 * t)
@@ -129,6 +132,9 @@ def ln2_moment_identity() -> float:
     E ln^2 W = trigamma(1/2) + (digamma(1/2) + ln 2)^2 with
     digamma(1/2) = -euler_gamma - 2 ln 2 and trigamma(1/2) = pi^2 / 2.
     """
+    # imported here, its only use, so other commands skip the import
+    from scipy.special import polygamma
+
     digamma_half = float(polygamma(0, 0.5))
     trigamma_half = float(polygamma(1, 0.5))
     return trigamma_half + (digamma_half + math.log(2.0)) ** 2

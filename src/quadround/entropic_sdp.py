@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .config import DEFAULTS
 from .linalg import sqrt_psd, sym_eigen
@@ -93,6 +92,9 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     derivative's root to xtol DEFAULTS.root. c and d are the per-form inner
     products at the current point and at the vertex.
     """
+    # imported here, so gen, report and lemma51 never load scipy
+    from scipy.optimize import brentq
+
     diff = d - c
 
     def deriv(g: float) -> float:
@@ -117,6 +119,9 @@ def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
     at roundoff would make its length hinge on ulp-level changes in its
     start.
     """
+    # imported here, so gen, report and lemma51 never load scipy
+    from scipy.optimize import minimize
+
     n = X.shape[0]
 
     def neg(y):

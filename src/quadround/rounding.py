@@ -82,10 +82,10 @@ class GaussianSampler:
             raise ValueError("seed must be nonnegative")
         self.seed = int(seed)
         self.jumps = int(jumps)
-        bg = np.random.Philox(key=self.seed)
-        if self.jumps:
-            bg = bg.jumped(self.jumps)
-        self._gen = np.random.Generator(bg)
+        # the state of Philox(key).jumped(jumps), which adds jumps * 2^128
+        # to the counter, set at construction: jumped() builds a second one
+        self._gen = np.random.Generator(np.random.Philox(
+            key=self.seed, counter=self.jumps << 128))
 
     def substream(self, index: int) -> "GaussianSampler":
         if index < 0:

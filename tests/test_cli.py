@@ -779,3 +779,44 @@ def test_cli_import_skips_quadrature():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_gen_report_lemma51_and_usage_errors_skip_scipy(tmp_path):
+    # scipy is imported where it is used, so these commands never load it;
+    # round, run afterwards in the same process, imports it and gives the
+    # digest of a process that had scipy loaded from the start (this one)
+    ref, ref_r, inst, res, l51 = (str(tmp_path / f) for f in (
+        "ref.json", "ref_r.json", "inst.json", "r.json", "l51.json"))
+    gen = ["gen", "--n", "6", "--k", "4", "--seed", "3", "--witness-random"]
+    assert run_cli("--quiet", *gen, "--out", ref) == 0
+    rnd = ["--rank-m", "4", "--budget", "20", "--seed", "2"]
+    assert run_cli("--quiet", "round", ref, *rnd, "--out", ref_r) == 0
+    with open(ref_r, encoding="utf-8") as fh:
+        want = json.load(fh)["result_digest"]
+    code = f"""
+import json, sys
+from quadround.cli import main
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+codes = [
+    main(["--quiet", *{gen!r}, "--out", {inst!r}]),
+    main(["--quiet", "report", {ref_r!r}]),
+    main(["--quiet", "verify", "--suite", "lemma51", "--samples", "1e3",
+          "--seed", "1", "--json", {l51!r}]),
+    main(["--quiet", "round", {inst!r}, "--rank-one", "--seed", "-1"]),
+]
+before = scipy_modules()
+codes.append(main(["--quiet", "round", {inst!r}, *{rnd!r}, "--out", {res!r}]))
+with open({res!r}, encoding="utf-8") as fh:
+    digest = json.load(fh)["result_digest"]
+print(json.dumps({{"codes": codes, "scipy": before, "digest": digest}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0, 2, 0]
+    assert out["scipy"] == []
+    assert out["digest"] == want
+    with open(inst, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        hull_point_from_witness, precondition, solve)
@@ -106,13 +107,15 @@ def test_polish_stop_matches_roundoff_reference(monkeypatch):
         prec, Xh = make_preconditioned(700 + seed, 64, 10)
         cases.append((prec.hat, hull_point_from_witness(prec.hat, Xh)))
     sols = [solve(qmap, alpha) for qmap, alpha in cases]
-    minimize = sdp_mod.minimize
+    minimize = scipy.optimize.minimize
 
     def to_roundoff(*args, **kwargs):
         kwargs["options"] = dict(kwargs["options"], gtol=1e-14)
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(sdp_mod, "minimize", to_roundoff)
+    # _sphere_polish imports minimize on each call, so the patch goes on
+    # scipy.optimize
+    monkeypatch.setattr(scipy.optimize, "minimize", to_roundoff)
     for (qmap, alpha), sol in zip(cases, sols):
         ref = solve(qmap, alpha)
         assert sol.converged and ref.converged

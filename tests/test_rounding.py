@@ -37,6 +37,24 @@ def test_sampler_determinism():
     assert GaussianSampler(9).normals((3,)).shape == (3,)
 
 
+@pytest.mark.parametrize("key", [0, (1 << 128) - 1])
+@pytest.mark.parametrize("jumps", [0, 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 5,
+                                   1 << 100, (1 << 128) - 1])
+def test_sampler_substream_is_philox_jumped(key, jumps):
+    # the sampler sets the counter of Philox(key).jumped(jumps) itself
+    ref = np.random.Philox(key=key)
+    if jumps:
+        ref = ref.jumped(jumps)
+    gen = GaussianSampler(key, jumps)._gen
+    got, want = gen.bit_generator.state, ref.state
+    for field in ("counter", "key"):
+        assert np.array_equal(got["state"][field], want["state"][field])
+    assert np.array_equal(got["buffer"], want["buffer"])
+    assert [got[f] for f in ("buffer_pos", "has_uint32", "uinteger")] == \
+        [want[f] for f in ("buffer_pos", "has_uint32", "uinteger")]
+    assert np.array_equal(gen.random(9), np.random.Generator(ref).random(9))
+
+
 def test_sampler_moments():
     n, draws = 6, 10 ** 5
     z = GaussianSampler(2024).normals((draws, n))

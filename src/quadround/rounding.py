@@ -60,9 +60,6 @@ from .quadmap import (PreconditionedMap, SimplexVector, SpectahedronPoint,
 # thread count or available memory.
 _BLOCK = 256
 
-# Normals per chunk of GaussianSampler.normals; the values do not depend on it.
-_NORMALS_CHUNK = 1 << 16
-
 
 class GaussianSampler:
     """Deterministic standard normal stream: Box-Muller over Philox uniforms.
@@ -93,19 +90,14 @@ class GaussianSampler:
         return GaussianSampler(self.seed, self.jumps + 1 + index)
 
     def normals(self, shape) -> np.ndarray:
-        """Standard normal array of the given shape; advances the stream.
+        """New standard normal array of the given shape; advances the stream.
 
         Box-Muller consumes uniforms in pairs, so a request for an odd count
         discards one spare variate.
         """
-        if np.isscalar(shape):
-            shape = (int(shape),)
-        count = int(np.prod(shape)) if shape else 1
-        out = np.empty(count + count % 2)
-        ends = [*range(_NORMALS_CHUNK, count, _NORMALS_CHUNK), count]
-        for _ in self._box_muller(count, ends, out):
-            pass                    # each piece lands in out
-        return out[:count].reshape(shape)
+        count = int(np.prod(shape))
+        (z,) = self._box_muller(count, [count])
+        return z.reshape(shape)
 
     def mean_square_rows(self, m: int, rows: int, k: int, chunk: int):
         """Yield a (rows, k) array of means of m squared standard normals
@@ -139,7 +131,7 @@ class GaussianSampler:
             yield g.reshape(-1, k)
             start = end
 
-    def _box_muller(self, count: int, ends, out=None):
+    def _box_muller(self, count: int, ends):
         """Yield ``count`` standard normals in pieces that end at the
         offsets ``ends`` (ascending, even but for the last, which is count).
 
@@ -147,8 +139,8 @@ class GaussianSampler:
         uniform, so the radii R = sqrt(-2 ln(1 - u)) are computed for the
         whole request and the angles are drawn and used one piece at a time:
         the same stream, and the same contiguous ufunc loops, as one draw,
-        so the same bits. A piece is a view of ``out`` (flat, of even length
-        at least count) when given, else of one re-used buffer.
+        so the same bits. Every piece is a view of one buffer that this
+        call allocates and the next piece re-uses.
         """
         npairs = (count + 1) // 2
         r = self._gen.random(npairs)
@@ -156,15 +148,13 @@ class GaussianSampler:
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        if out is None:
-            buf = np.empty(((_widest(ends) + 1) // 2, 2))
+        buf = np.empty(((_widest(ends) + 1) // 2, 2))
         start = 0
         for end in ends:
             p0, p1 = start // 2, (end + 1) // 2
             theta = self._gen.random(p1 - p0)
             theta *= 2.0 * math.pi
-            z = (buf[: p1 - p0] if out is None
-                 else out[2 * p0: 2 * p1].reshape(-1, 2))
+            z = buf[: p1 - p0]
             np.multiply(r[p0:p1], np.cos(theta), out=z[:, 0])
             np.multiply(r[p0:p1], np.sin(theta, out=theta), out=z[:, 1])
             yield z.reshape(-1)[: end - start]

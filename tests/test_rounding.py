@@ -81,12 +81,12 @@ def _box_muller_reference(gen, shape):
 
 
 def test_sampler_matches_out_of_place_box_muller():
-    # the chunked in-place sampler gives the reference's bytes, and consumes
-    # the stream as it does, over one stream read by many requests: each
-    # request starts where the one before it left the stream, including
-    # requests of one pair less than, exactly and one pair more than one
-    # and two chunks
-    chunk = rounding_mod._NORMALS_CHUNK
+    # the in-place sampler gives the reference's bytes, and consumes the
+    # stream as it does, over one stream read by many requests: each request
+    # starts where the one before it left the stream, including requests of
+    # one pair less than, exactly and one pair more than one and two chunks
+    # of 2^16 normals, the pieces normals was once split into
+    chunk = 1 << 16
     s = GaussianSampler(31)
     gen = np.random.Generator(np.random.Philox(key=31))
     for shape in (0, 1, 2, 3, 10 ** 5 + 1, (), 7, (5, 7, 3), (0,), (4, 1),
@@ -101,6 +101,25 @@ def test_sampler_matches_out_of_place_box_muller():
         ref = _box_muller_reference(
             np.random.Generator(np.random.Philox(key=32)), (rows, k)) ** 2
         assert sq.tobytes() == ref.tobytes(), (rows, k)
+
+
+def test_sampler_returns_a_fresh_array_per_call():
+    # each normals call returns a view of a buffer of its own: no result
+    # shares memory with another, each is writable, and writing into one
+    # changes neither a later draw nor the stream
+    shapes = (5, (), 0, (3, 4, 2), 8, (2, 3))
+    s = GaussianSampler(33)
+    gen = np.random.Generator(np.random.Philox(key=33))
+    zs = [s.normals(shape) for shape in shapes]
+    refs = [_box_muller_reference(gen, shape) for shape in shapes]
+    for i, z in enumerate(zs):
+        assert z.flags.writeable and z.shape == refs[i].shape, shapes[i]
+        assert not any(np.shares_memory(z, w) for w in zs[:i]), shapes[i]
+    for i, z in enumerate(zs):
+        z[...] = np.nan
+        for w, ref, shape in zip(zs[i + 1:], refs[i + 1:], shapes[i + 1:]):
+            assert w.tobytes() == ref.tobytes(), (shapes[i], shape)
+    assert s.normals(7).tobytes() == _box_muller_reference(gen, 7).tobytes()
 
 
 # --- acceptance predicate ----------------------------------------------

@@ -9,9 +9,9 @@ from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        check_sandwich, mc_abs_log_moment, mc_rank_m_abs_log,
                        mc_tail, phi, sphere_max_oracle)
 import quadround.verify as verify_mod
-from quadround.verify import (SUITES, abs_log, mc_estimates, suite_constants,
-                              suite_lemma21, suite_lemma51, suite_sandwich,
-                              tail_indicator)
+from quadround.verify import (SUITES, abs_log, mc_batch, mc_estimates,
+                              suite_constants, suite_lemma21, suite_lemma51,
+                              suite_sandwich, tail_indicator)
 
 from conftest import make_map, make_simplex, near_rank_one, sandwich_instance
 
@@ -406,6 +406,23 @@ def test_mc_suites_threads_bit_identical_across_blocks(monkeypatch):
         return [(r.name, r.value, r.satisfied) for r in r21 + r51]
 
     assert rows(1) == rows(3)
+
+
+def test_mc_batch_equals_each_job_alone(monkeypatch):
+    # small blocks: each job spans several blocks, so a pool of 3 mixes the
+    # jobs' tasks; every job's estimates are those of its own mc_estimates
+    monkeypatch.setattr(verify_mod, "_MC_BLOCK_ELEMS", 1 << 11)
+    jobs = [
+        (make_simplex(50, 2), 1, 3000, GaussianSampler(51), [abs_log]),
+        (make_simplex(52, 5), 4, 2500, GaussianSampler(53),
+         [abs_log, tail_indicator(2.0)]),
+        (make_simplex(54, 8), 1, 4001, GaussianSampler(55),
+         [tail_indicator(0.5), lambda q: q, abs_log]),
+    ]
+    alone = [mc_estimates(*job) for job in jobs]
+    assert [len(est) for est in alone] == [1, 2, 3]
+    for threads in (1, 3):
+        assert mc_batch(jobs, threads) == alone, threads
 
 
 def test_suite_constants():

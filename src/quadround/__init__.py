@@ -11,6 +11,16 @@ points. A verification layer checks every supporting constant by quadrature
 and seeded Monte Carlo.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads: a multithreaded BLAS rounds some
+# products otherwise, so result bytes would follow the host's core count.
+# --threads is the package's own parallelism. A value the user set is kept,
+# and nothing changes when numpy was imported before this package.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .bounds import (BoundReport, constants, gauss_log_moments, laplace_tail_upper,
                      log_gamma, phi, phi_expression, rank_m_abs_log, rank_m_beta)
 from .config import DEFAULTS

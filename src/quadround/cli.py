@@ -38,8 +38,9 @@ from ._util import canonical_json, sha256_file, sha256_hex
 from .config import DEFAULTS
 from .instances import random_map, random_witness
 from .linalg import LinalgError, NotPositiveDefinite
-from .quadmap import (InstanceFormatError, QuadraticMap, instance_to_json,
-                      load_instance, precondition)
+from .quadmap import (InstanceFormatError, PreconditionedMap, QuadraticMap,
+                      SpectahedronPoint, instance_to_json, load_instance,
+                      precondition)
 from .rounding import GaussianSampler, round_rank_m, round_rank_one
 from .verify import MIN_SAMPLES, SUITES
 
@@ -126,20 +127,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def run_round(qmap: QuadraticMap, X, seed: int, budget: int,
-              tol: float, m: int | None, threads: int = 1):
-    """The round pipeline on an already-loaded instance and its witness X
-    (original coordinates, sum_i <Q_i, X> = 1).
+def prepare_round(qmap: QuadraticMap, X):
+    """Precondition a loaded instance and push its witness X (original
+    coordinates, sum_i <Q_i, X> = 1) onto the spectahedron.
+
+    Returns (prec, X_hat, setup seconds), the first arguments of run_round.
+    Nothing returned refers to the original map, so a caller that keeps no
+    name for the map frees it before the solve.
+    """
+    t0 = time.perf_counter()
+    prec = precondition(qmap)
+    X_hat = prec.push_witness(X)
+    return prec, X_hat, time.perf_counter() - t0
+
+
+def run_round(prec: PreconditionedMap, X_hat: SpectahedronPoint,
+              setup_s: float, seed: int, budget: int, tol: float,
+              m: int | None, threads: int = 1):
+    """The round pipeline on an instance that prepare_round has made ready.
 
     Returns (outcome, payload) where payload carries everything the result
     file needs except the instance digest and command line.
     """
     sampler = GaussianSampler(seed)
-    t0 = time.perf_counter()
-    prec = precondition(qmap)
-    X_hat = prec.push_witness(X)
-    t_setup = time.perf_counter() - t0
-
     t0 = time.perf_counter()
     if m is None:
         outcome = round_rank_one(prec, X_hat, sampler,
@@ -154,8 +164,8 @@ def run_round(qmap: QuadraticMap, X, seed: int, budget: int,
     original_points = np.array([prec.pull_point(p) for p in outcome.points])
     payload = {
         "seed": seed,
-        "n": qmap.n,
-        "k": qmap.k,
+        "n": prec.hat.n,
+        "k": prec.hat.k,
         "m": m,
         "a": outcome.a.values.tolist(),
         "b": outcome.b.values.tolist(),
@@ -172,14 +182,14 @@ def run_round(qmap: QuadraticMap, X, seed: int, budget: int,
         "points": original_points.tolist(),
         "weights": ([1.0] if m is None
                     else [1.0 / m] * m),
-        "timings": {"setup_s": t_setup, "round_s": t_round},
+        "timings": {"setup_s": setup_s, "round_s": t_round},
     }
     return outcome, payload
 
 
-def cmd_round(args) -> int:
-    instance_path = Path(args.instance)
-    qmap, X = load_instance(str(instance_path))
+def _round_instance(path: Path, args):
+    """The map and witness X of a round command's instance file."""
+    qmap, X = load_instance(str(path))
     if X is None:
         if not args.witness_random:
             raise InstanceFormatError(
@@ -187,9 +197,15 @@ def cmd_round(args) -> int:
                 "--witness-random")
         # Reads the parent stream only; rounding reads only its substreams.
         X = random_witness(GaussianSampler(args.seed), qmap)
+    return qmap, X
 
+
+def cmd_round(args) -> int:
+    instance_path = Path(args.instance)
+    # No name here holds the original map: it is freed once preconditioned.
     outcome, payload = run_round(
-        qmap, X, seed=args.seed, budget=args.budget, tol=args.tol,
+        *prepare_round(*_round_instance(instance_path, args)),
+        seed=args.seed, budget=args.budget, tol=args.tol,
         m=args.rank_m, threads=args.threads)
 
     command = f"round {'--rank-one' if args.rank_m is None else f'--rank-m {args.rank_m}'} " \

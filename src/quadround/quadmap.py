@@ -31,8 +31,8 @@ from .linalg import (NotPositiveDefinite, cholesky, fro_norm, inverse_spd,
                      sqrt_psd, sym_eigen)
 
 
-def _sym_array(mat) -> np.ndarray:
-    """Validated symmetric float array (A + A') / 2 of a square matrix.
+def _square_array(mat) -> np.ndarray:
+    """Validated float array of a square matrix, not symmetrized.
 
     The one input check for user matrices, called at the boundaries only
     (QuadraticMap, SpectahedronPoint, a witness X on instance load): the
@@ -46,7 +46,22 @@ def _sym_array(mat) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _sym_array(mat) -> np.ndarray:
+    """Validated symmetric float array (A + A') / 2 of a square matrix."""
+    a = _square_array(mat)
     return 0.5 * (a + a.T)
+
+
+def _gate(form: np.ndarray, i: int) -> None:
+    """The positive definiteness gate of form i of a map: linalg.cholesky,
+    whose error names the form."""
+    try:
+        cholesky(form)
+    except Exception as exc:
+        raise type(exc)(f"form {i} is not positive definite: {exc}") from exc
 
 
 class SimplexVector:
@@ -121,25 +136,37 @@ class QuadraticMap:
     Each form is symmetrized and validated positive definite by Cholesky on
     construction. The stacked array of form matrices is exposed as ``Q``
     (shape k x n x n, read-only and owned by the object) for vectorized
-    evaluation.
+    evaluation. The constructor writes each symmetrized form straight into
+    that stack and never into the arrays it is given.
     """
 
     __slots__ = ("Q",)
 
     def __init__(self, forms):
-        mats = [_sym_array(f) for f in forms]
+        mats = [_square_array(f) for f in forms]
         if len(mats) < 1:
             raise ValueError("a quadratic map needs at least one form")
         n = mats[0].shape[0]
-        for i, m in enumerate(mats):
+        self.Q = np.empty((len(mats), n, n))
+        for i, (m, form) in enumerate(zip(mats, self.Q)):
             if m.shape[0] != n:
                 raise ValueError(f"form {i} has dimension {m.shape[0]}, expected {n}")
-            try:
-                cholesky(m)
-            except Exception as exc:
-                raise type(exc)(f"form {i} is not positive definite: {exc}") from exc
-        self.Q = np.stack(mats)
+            np.add(m, m.T, out=form)
+            form *= 0.5
+            _gate(form, i)
         self.Q.flags.writeable = False
+
+    @classmethod
+    def _take(cls, Q: np.ndarray) -> "QuadraticMap":
+        """The map of a stack of symmetric forms, which it takes over
+        without a copy; each form passes the constructor's gate."""
+        for i, form in enumerate(Q):
+            _square_array(form)
+            _gate(form, i)
+        qmap = cls.__new__(cls)
+        qmap.Q = Q
+        qmap.Q.flags.writeable = False
+        return qmap
 
     @property
     def n(self) -> int:
@@ -221,17 +248,23 @@ def precondition(qmap: QuadraticMap) -> PreconditionedMap:
 
     S = sum_i Q_i is positive definite; with T = S^(1/2) the normalized
     forms are T^-1 Q_i T^-1. The identity hat(T x) = original(x) is exact up
-    to rounding, hence both maps have the same image. The products
-    T^-1 Q_i T^-1 are symmetrized and gated by the QuadraticMap constructor:
-    in floating point a normalized form of a near-singular map can fail the
-    Cholesky gate that every original form passed; that raises
-    NotPositiveDefinite (an indefinite form would make ln q_i NaN in
-    rounding).
+    to rounding, hence both maps have the same image. Each product
+    T^-1 Q_i T^-1 is written into one (k, n, n) stack, symmetrized in place
+    and gated as the QuadraticMap constructor gates a form, and the
+    normalized map takes the stack over: in floating point a normalized
+    form of a near-singular map can fail the Cholesky gate that every
+    original form passed; that raises NotPositiveDefinite (an indefinite
+    form would make ln q_i NaN in rounding).
     """
     T = sqrt_psd(qmap.Q.sum(axis=0))
     T_inv = inverse_spd(T)
+    H = np.empty_like(qmap.Q)
+    for Q, form in zip(qmap.Q, H):
+        np.matmul(T_inv @ Q, T_inv, out=form)
+        np.add(form, form.T, out=form)
+        form *= 0.5
     try:
-        hat = QuadraticMap(T_inv @ Q @ T_inv for Q in qmap.Q)
+        hat = QuadraticMap._take(H)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"normalized {exc}; the map is too close to singular to "
@@ -417,101 +450,175 @@ _COMMA = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
 # Instance files nest 4 levels deep. orjson 3.8 converts nested arrays
 # recursively and crashes the interpreter at 200 000 levels.
 _MAX_DEPTH = 1024
+# Bytes read from an instance file at a time.
+_READ_CHUNK = 1 << 20
+# The position _split_q gives a token that the text read so far lacks.
+_FAR = 1 << 62
 
 
-def _q_spans(raw: bytes):
-    """Byte spans of the top-level "Q" array of a JSON text and of its forms.
+def _split_q(fh):
+    """The text of a JSON file with its top-level "Q" array replaced by [],
+    and that array's forms, each parsed as soon as it has been read.
 
-    One forward scan over the brackets and quotes of ``raw``. A string ends
-    at the next quote not preceded by an odd run of backslashes, and the
-    brackets inside it do not count. Returns (q0, q1, forms): raw[q0:q1] is
-    the value of the last "Q" key at depth 1 (JSON keeps the last duplicate
-    key), and forms lists the spans (a, b) of its elements. Returns None
-    unless that value is an array of arrays or objects separated by single
-    commas and whitespace. Raises InstanceFormatError when the text nests
-    deeper than _MAX_DEPTH.
+    One forward scan over the brackets and quotes of the file, which is
+    read in _READ_CHUNK pieces into one window. A string ends at the next
+    quote not preceded by an odd run of backslashes, and the brackets
+    inside it do not count. A depth-1 string that spells Q and is followed
+    by a colon is a "Q" key. While its value is an array, each element (an
+    array or object at depth 3) is parsed by orjson and becomes a float
+    array when its closing bracket arrives. The text outside that array is
+    copied out as it is passed, with [] for the array, so the window holds
+    only the form being read and the piece after it. JSON keeps the last
+    duplicate key, so a later "Q" key drops the forms of an earlier one,
+    whose array stays in the text as [] (each of its forms has been parsed
+    as JSON).
+
+    Positions are offsets in the file; the window holds its bytes from
+    ``base`` to ``hi``. Returns (text, forms, bad), where bad is the
+    InstanceFormatError of the first form of the last Q that is not a
+    numeric array, or None. Returns None unless the last "Q" value is an
+    array of arrays or objects separated by single commas and whitespace.
+    Raises InstanceFormatError when the text nests deeper than _MAX_DEPTH,
+    and orjson.JSONDecodeError for a form that is not JSON.
     """
-    end = len(raw)
-    find = raw.find
-    nxt = [find(t) % (end + 1) for t in _TOKENS]    # -1 (none) -> end
-    depth, q_at, q, forms = 0, -1, None, None
-    while (p := min(nxt)) < end:
+    work, rest = bytearray(_READ_CHUNK), bytearray()
+    base = hi = out = 0     # rest holds the text before out (None in Q)
+    nxt = [_FAR] * len(_TOKENS)
+
+    def find(tok: bytes, start: int) -> int:
+        i = work.find(tok, start - base, hi - base)
+        return _FAR if i < 0 else i + base
+
+    def read(keep: int) -> bool:
+        # Keep the window from keep on, read a piece after it and find in
+        # it the tokens the text lacked; False at the end of the file.
+        nonlocal work, base, hi, out
+        if out is not None:
+            rest.extend(memoryview(work)[out - base:hi - base])
+            out = hi
+        live = memoryview(work)[keep - base:hi - base]
+        n = len(live)
+        if n + _READ_CHUNK > len(work):
+            work = bytearray(n + _READ_CHUNK)
+        with memoryview(work) as v:
+            v[:n] = live
+            live.release()
+            start, hi = hi, hi + fh.readinto(v[n:n + _READ_CHUNK])
+        base = keep
+        for t, x in enumerate(nxt):
+            if x == _FAR:
+                nxt[t] = find(_TOKENS[t], start)
+        return hi > start
+
+    depth, key, forms, q, ok = 0, None, None, None, True
+    while True:
+        p = min(nxt)
+        if p == _FAR:
+            if forms is not None:
+                keep = a if depth > 2 else g
+            else:
+                keep = hi if key is None else key + 1
+            if read(keep):
+                continue
+            break
         t = nxt.index(p)
-        nxt[t] = find(_TOKENS[t], p + 1) % (end + 1)
+        x = work.find(_TOKENS[t], p + 1 - base, hi - base)
+        nxt[t] = _FAR if x < 0 else x + base
+        if key is not None:
+            # The token after a depth-1 "Q" string: is the string a key,
+            # and does an array start right after its colon?
+            m = _COLON.match(work, key + 1 - base, p - base)
+            key = None
+            if m is not None:
+                q = None
+                if t == 0 and m.end() + base == p and ok:
+                    rest += work[out - base:p - base] + b"[]"
+                    g, forms, i, bad, out = p + 1, [], 0, None, None
         if t < 2:
             depth += 1
             if depth > _MAX_DEPTH:
                 raise InstanceFormatError(
                     f"invalid JSON: nested deeper than {_MAX_DEPTH} levels")
-            if p == q_at and t == 0:
-                q0, forms = p, []
-            elif depth == 3 and forms is not None:
+            if depth == 3 and forms is not None:
+                glue = _COMMA if i else _BLANK
+                if glue.fullmatch(work, g - base, p - base) is None:
+                    ok, forms = False, None
                 a = p
         elif t < 4:
             depth -= 1
             if forms is not None and depth == 2:
-                forms.append((a, p + 1))
+                with memoryview(work) as v:
+                    form = orjson.loads(v[a - base:p + 1 - base])
+                if bad is None:
+                    try:
+                        forms.append(_parse_array(form, f"Q[{i}]"))
+                    except InstanceFormatError as exc:
+                        bad = exc
+                form, g, i = None, p + 1, i + 1
             elif forms is not None and depth == 1:
-                q, forms = (q0, p + 1, forms), None
+                if t == 2 and _BLANK.fullmatch(work, g - base, p - base):
+                    q, out = (forms, bad), p + 1
+                else:
+                    ok = False
+                forms = None
         else:
             e = p
             while True:
                 e = find(b'"', e + 1)
-                if e < 0:
-                    return None
+                if e == _FAR:
+                    e = hi - 1
+                    keep = p if forms is None else a if depth > 2 else g
+                    if not read(keep):
+                        return None
+                    continue
                 j = e - 1
-                while raw[j] == 0x5C:
+                while work[j - base] == 0x5C:
                     j -= 1
                 if (e - j) % 2:
                     break
-            if depth == 1 and (m := _COLON.match(raw, e + 1)) is not None:
-                key = raw[p + 1:e]
-                if key == b"Q" or (b"\\" in key
-                                   and orjson.loads(raw[p:e + 1]) == "Q"):
-                    q_at, q = m.end(), None
-            nxt = [x if x > e else find(tok, e + 1) % (end + 1)
-                   for x, tok in zip(nxt, _TOKENS)]
-    if q is None or raw[q[1] - 1] != 0x5D:
+            # JSON spells the string Q as "Q" or "\u0051" only. Matching
+            # bytes also spares orjson a small parse, after which orjson
+            # 3.8 keeps an 8 MiB buffer for the life of the process.
+            if depth == 1 and e - p in (2, 7) and (
+                    work[p + 1 - base:e - base] in (b"Q", rb"\u0051")):
+                key = e
+            nxt[:] = [x if x > e else find(tok, e + 1)
+                      for x, tok in zip(nxt, _TOKENS)]
+    if q is None or key is not None or not ok:
         return None
-    q0, q1, forms = q
-    gaps = zip([q0 + 1] + [b for _, b in forms],
-               [a for a, _ in forms] + [q1 - 1])
-    for i, (a, b) in enumerate(gaps):
-        glue = _BLANK if i in (0, len(forms)) else _COMMA
-        if glue.fullmatch(raw, a, b) is None:
-            return None
-    return q
+    rest += work[out - base:hi - base]
+    return rest, *q
 
 
 def _decode(path: str):
     """The instance document of a file, with each form of Q a float array.
 
-    Q holds nearly all of an instance's bytes. The text outside it is
-    parsed with Q replaced by [], and each form is parsed on its own and
-    turned into an array at once, so at most one form's Python lists are
-    alive at a time: whole-document parsing would hold every form's lists
-    and, with orjson, a copy of the input too. A text whose Q the scan
-    cannot split is parsed whole: it is not a valid instance, and orjson
-    or instance_from_json says why.
+    Q holds nearly all of an instance's bytes. _split_q reads the file in
+    pieces and parses each form on its own as soon as it has been read, so
+    neither the whole text nor more than one form's Python lists are ever
+    held; the text outside Q is parsed at the end. A text whose Q the scan
+    cannot split is read again and parsed whole: it is not a valid
+    instance, or holds a "Q" array that is not one, and orjson or
+    instance_from_json says why.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    spans = _q_spans(raw)
-    if spans is None:
-        return orjson.loads(raw)
-    q0, q1, forms = spans
-    doc = orjson.loads(raw[:q0] + b"[]" + raw[q1:])
-    view = memoryview(raw)
-    doc["Q"] = [_parse_array(orjson.loads(view[a:b]), f"Q[{i}]")
-                for i, (a, b) in enumerate(forms)]
+        split = _split_q(fh)
+        if split is None:
+            fh.seek(0)
+            return orjson.loads(fh.read())
+    text, forms, bad = split
+    doc = orjson.loads(text)
+    if bad is not None:
+        raise bad
+    doc["Q"] = forms
     return doc
 
 
 def load_instance(path: str):
     """Read an instance file; returns (map, X or None) as instance_from_json.
 
-    The file is parsed by orjson one form at a time (see _decode), which
-    keeps peak memory near the size of the file. orjson rejects NaN and
+    The file is read in pieces and parsed by orjson one form at a time
+    (see _decode), so its whole text is never held. orjson rejects NaN and
     Infinity literals and lone surrogates as invalid JSON.
     """
     try:

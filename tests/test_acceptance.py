@@ -15,7 +15,7 @@ from quadround import (GaussianSampler, SimplexVector, gauss_log_moments,
                        hull_point_from_combination, laplace_tail_upper, phi,
                        phi_expression, solve, sphere_max_oracle, sym_eigen)
 from quadround._util import sha256_hex
-from quadround.cli import result_digest, run_round
+from quadround.cli import prepare_round, result_digest, run_round
 from quadround.instances import random_map, random_witness
 from quadround.quadmap import instance_from_json, instance_to_json
 from quadround.verify import _simplex_from, suite_lemma21, suite_lemma51
@@ -63,8 +63,8 @@ def _run_result(doc: dict, seed: int, m, budget: int):
     """The same result-file assembly the CLI performs."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     qmap, spec = instance_from_json(doc)
-    outcome, payload = run_round(qmap, spec, seed=seed, budget=budget,
-                                 tol=1e-6, m=m)
+    outcome, payload = run_round(*prepare_round(qmap, spec), seed=seed,
+                                 budget=budget, tol=1e-6, m=m)
     mode = "--rank-one" if m is None else f"--rank-m {m}"
     result = {"instance_digest": sha256_hex(text),
               "command": f"round {mode} --budget {budget} --seed {seed} "

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -779,6 +780,29 @@ def test_cli_import_skips_quadrature():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_blas_pinned_to_one_thread(tmp_path):
+    # importing quadround sets the BLAS thread variables to 1 unless they
+    # are set; two BLAS threads round an n = 100 map's products otherwise,
+    # so on a multi-core host an unset environment must still give the
+    # digest of an explicit 1 (a 1-core host passes either way)
+    inst = tmp_path / "inst.json"
+    assert run_cli("--quiet", "gen", "--n", "100", "--k", "10", "--seed",
+                   "1", "--witness-random", "--out", str(inst)) == 0
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    digests = []
+    for pin in ({}, dict.fromkeys(blas, "1")):
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        out = tmp_path / f"r{len(pin)}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadround.cli", "--quiet", "round",
+             str(inst), "--rank-one", "--budget", "50", "--seed", "1",
+             "--out", str(out)], env={**env, **pin}, capture_output=True,
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(out.read_text())["result_digest"])
+    assert digests[0] == digests[1]
 
 
 def test_gen_report_lemma51_and_usage_errors_skip_scipy(tmp_path):

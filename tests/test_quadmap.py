@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from quadround import (GaussianSampler, NotPositiveDefinite, QuadraticMap,
                        precondition)
 from quadround.cli import main as cli_main
 from quadround.instances import random_map, random_witness
-from quadround.quadmap import (InstanceFormatError, _q_spans, evaluate_batch,
+import quadround.quadmap as quadmap_mod
+from quadround.quadmap import (InstanceFormatError, _split_q, evaluate_batch,
                                load_instance)
 
 from conftest import make_map, make_simplex, pinsker_lower_bound
@@ -161,6 +163,18 @@ def test_precondition_examples():
     prec = precondition(QuadraticMap([np.eye(2), np.eye(2)]))
     assert np.allclose(prec.T, math.sqrt(2.0) * np.eye(2))
     assert np.allclose(prec.hat.Q, np.stack([np.eye(2) / 2] * 2), atol=1e-12)
+
+
+def test_precondition_stack_matches_per_form_congruence():
+    # the normalized forms written and symmetrized in place in one stack
+    # equal bit for bit the per-form (M + M') / 2 with M = T^-1 Q_i T^-1
+    for n, k in ((3, 2), (24, 5), (200, 3)):
+        qmap = random_map(GaussianSampler(30 + n), n, k, 1e4)
+        prec = precondition(qmap)
+        for Q, form in zip(qmap.Q, prec.hat.Q):
+            M = prec.T_inv @ Q @ prec.T_inv
+            assert form.tobytes() == (0.5 * (M + M.T)).tobytes()
+        assert not prec.hat.Q.flags.writeable
 
 
 def test_precondition_preserves_image():
@@ -370,10 +384,8 @@ def _outcome(load, path):
     return qmap.Q.tobytes(), None if X is None else X.tobytes()
 
 
-def test_loader_matches_stdlib_json(tmp_path):
-    # load_instance parses the forms of Q one at a time; on each document it
-    # must return the same Q and X bytes as stdlib json, or raise the same
-    # exception class
+def _loader_documents(tmp_path):
+    """Valid and invalid instance texts that stress the loader's scan."""
     gen = tmp_path / "gen.json"
     assert cli_main(["--quiet", "gen", "--n", "5", "--k", "3", "--seed", "4",
                      "--witness-random", "--out", str(gen)]) == 0
@@ -416,16 +428,80 @@ def test_loader_matches_stdlib_json(tmp_path):
         compact + " x",
         compact + " {}",
     ]
+    return valid, invalid
+
+
+def _check_loader_documents(tmp_path):
+    valid, invalid = _loader_documents(tmp_path)
     path = tmp_path / "inst.json"
     for text in valid + invalid:
         path.write_bytes(text.encode())
         got = _outcome(load_instance, path)
         assert got == _outcome(_reference_load, path), text
         assert isinstance(got, tuple) == (text in valid), text
-    # the valid documents take the per-form path, not the whole-text parse
-    assert all(_q_spans(text.encode()) is not None for text in valid)
+        if text in valid:
+            # the valid documents take the per-form path, not the whole-text
+            # parse
+            with path.open("rb") as fh:
+                assert _split_q(fh) is not None, text
+
+
+def test_loader_matches_stdlib_json(tmp_path):
+    # load_instance parses the forms of Q one at a time; on each document it
+    # must return the same Q and X bytes as stdlib json, or raise the same
+    # exception class
+    _check_loader_documents(tmp_path)
+    path = tmp_path / "inst.json"
     path.write_bytes(b'{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\xff"}')
     assert _outcome(load_instance, path) is InstanceFormatError
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_loader_reads_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    # the file is read in pieces of _READ_CHUNK bytes; with pieces this
+    # small every bracket, quote, backslash run, "Q" key and its colon
+    # straddles a boundary somewhere, and every document still loads as
+    # stdlib json reads it
+    monkeypatch.setattr(quadmap_mod, "_READ_CHUNK", chunk)
+    _check_loader_documents(tmp_path)
+
+
+def test_loader_peak_memory_below_file_size(tmp_path):
+    # the file is read in pieces and each form is parsed as it arrives, so
+    # loading holds neither the whole text nor every form's lists: the peak
+    # of traced allocations stays below the size of the file
+    inst = tmp_path / "inst.json"
+    assert cli_main(["--quiet", "gen", "--n", "120", "--k", "30", "--seed",
+                     "1", "--witness-random", "--out", str(inst)]) == 0
+    size = inst.stat().st_size
+    assert size > 10e6
+    load_instance(str(inst))    # untraced: one-time set-up such as orjson's
+    tracemalloc.start()
+    try:
+        qmap, X = load_instance(str(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qmap.k == 30 and X is not None
+    assert peak < size, (peak, size)
+
+
+def test_quadratic_map_writes_one_stack_and_not_its_input():
+    # the symmetrized forms go straight into one stack, equal bit for bit
+    # to the per-form (A + A') / 2, and the caller's arrays stay unwritten
+    sampler = GaussianSampler(21)
+    stack = sampler.normals((5, 7, 7))
+    stack = stack @ stack.transpose(0, 2, 1) + np.eye(7)
+    stack += 1e-3 * sampler.normals((5, 7, 7))      # not symmetric
+    before = stack.copy()
+    qmap = QuadraticMap(stack)
+    assert np.array_equal(stack, before)
+    assert not np.shares_memory(qmap.Q, stack)
+    for a, form in zip(stack, qmap.Q):
+        assert form.tobytes() == (0.5 * (a + a.T)).tobytes()
+    forms = list(stack)
+    assert QuadraticMap(forms).Q.tobytes() == qmap.Q.tobytes()
+    assert all(np.array_equal(f, b) for f, b in zip(forms, before))
 
 
 def test_loader_differences_from_stdlib_json(tmp_path):

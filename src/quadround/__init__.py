@@ -35,7 +35,7 @@ from .quadmap import (PreconditionedMap, QuadraticMap, SimplexVector,
 from .rounding import (GaussianSampler, RoundingOutcome, acceptance,
                        decompose_rank_m, round_rank_m, round_rank_one)
 from .verify import (McEstimate, SandwichReport, check_sandwich,
-                     mc_abs_log_moment, mc_estimates, mc_rank_m_abs_log,
-                     mc_tail, sphere_max_oracle)
+                     mc_abs_log_moment, mc_rank_m_abs_log, mc_tail,
+                     sphere_max_oracle)
 
 __version__ = "0.1.0"

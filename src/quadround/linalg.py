@@ -7,9 +7,9 @@ are validated and symmetrized once, at the boundary (the QuadraticMap and
 SpectahedronPoint constructors and instance loading), and nothing here
 re-symmetrizes them. Factorizations are delegated to LAPACK through numpy,
 but every operation checks its own contract (residuals, orthonormality,
-positivity) against explicit tolerances and fails loudly instead of
-returning garbage, so a non-symmetric input is rejected rather than
-silently factored.
+positivity) against explicit tolerances, in comparisons that NaN fails,
+and fails loudly instead of returning garbage, so a non-symmetric or NaN
+input is rejected rather than silently factored.
 
 Positive definiteness is tested by Cholesky: a failed factorization is the
 validation gate for user-supplied quadratic forms.
@@ -66,11 +66,11 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigenConvergenceError(str(exc)) from exc
     scale = max(fro_norm(a), 1e-300)
     resid = fro_norm(a @ v - v * w)
-    if resid > tol * scale:
+    if not resid <= tol * scale:
         raise EigenConvergenceError(
             f"eigen residual {resid:.3e} exceeds {tol:.1e} * ||A||_F")
     ortho = fro_norm(v.T @ v - np.eye(a.shape[0]))
-    if ortho > tol * max(1.0, scale):
+    if not ortho <= tol * max(1.0, scale):
         raise EigenConvergenceError(f"eigenvector basis not orthonormal: {ortho:.3e}")
     return w, v
 
@@ -88,7 +88,7 @@ def cholesky(a) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
     scale = max(fro_norm(a), 1e-300)
     resid = fro_norm(L @ L.T - a)
-    if resid > DEFAULTS.cholesky_relative * scale:
+    if not resid <= DEFAULTS.cholesky_relative * scale:
         raise LinalgError(f"cholesky residual {resid:.3e} out of tolerance")
     return L
 
@@ -105,14 +105,14 @@ def sqrt_psd(a) -> np.ndarray:
     clamp = DEFAULTS.psd_clamp
     w, v = sym_eigen(a)
     scale = max(fro_norm(a), 1e-300)
-    if w[0] < -clamp * scale:
+    if not w[0] >= -clamp * scale:
         raise NotPositiveDefinite(
             f"eigenvalue {w[0]:.3e} below -{clamp:.1e} * ||A||_F")
     w = np.clip(w, 0.0, None)
     T = (v * np.sqrt(w)) @ v.T
     T = 0.5 * (T + T.T)
     resid = fro_norm(T @ T - a)
-    if resid > DEFAULTS.sqrt_residual * max(1.0, scale):
+    if not resid <= DEFAULTS.sqrt_residual * max(1.0, scale):
         raise LinalgError(f"sqrt residual {resid:.3e} out of tolerance")
     return T
 
@@ -130,6 +130,6 @@ def inverse_spd(a) -> np.ndarray:
     inv = np.linalg.solve(L.T, y)
     inv = 0.5 * (inv + inv.T)
     resid = fro_norm(a @ inv - np.eye(n))
-    if resid > DEFAULTS.inverse_residual:
+    if not resid <= DEFAULTS.inverse_residual:
         raise LinalgError(f"inverse residual {resid:.3e} out of tolerance")
     return inv

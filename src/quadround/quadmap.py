@@ -27,41 +27,52 @@ import numpy as np
 import orjson
 
 from .config import DEFAULTS
-from .linalg import (NotPositiveDefinite, cholesky, fro_norm, inverse_spd,
-                     sqrt_psd, sym_eigen)
+from .linalg import (LinalgError, NotPositiveDefinite, cholesky, fro_norm,
+                     inverse_spd, sqrt_psd, sym_eigen)
 
 
-def _square_array(mat) -> np.ndarray:
-    """Validated float array of a square matrix, not symmetrized.
+def _sym_array(mat, out=None) -> np.ndarray:
+    """(A + A') / 2 of a square float matrix A, written into ``out`` if given.
 
-    The one input check for user matrices, called at the boundaries only
-    (QuadraticMap, SpectahedronPoint, a witness X on instance load): the
-    matrix must be square with n >= 1 and finite entries. Everything inside
-    the package passes the resulting arrays on as they are.
+    The one check of a user matrix, called at the boundaries (QuadraticMap,
+    SpectahedronPoint, a witness X on instance load) and by precondition:
+    A must be square with n >= 1, and (A + A') / 2 finite, which refuses
+    both non-finite entries and entries whose sum overflows. Everything
+    inside the package passes the resulting arrays on as they are.
     """
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    want = "a square matrix" if out is None else f"shape {out.shape}"
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or (
+            out is not None and a.shape != out.shape):
+        raise ValueError(f"expected {want}, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.add(a, a.T, out=out)
+        out *= 0.5
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries of (A + A') / 2 must be finite")
+    return out
 
 
-def _sym_array(mat) -> np.ndarray:
-    """Validated symmetric float array (A + A') / 2 of a square matrix."""
-    a = _square_array(mat)
-    return 0.5 * (a + a.T)
+def _require_psd(X: np.ndarray) -> None:
+    """Raise ValueError unless the symmetric array X is PSD: its least
+    eigenvalue is at least -DEFAULTS.psd_check * ||X||_F."""
+    w = sym_eigen(X)[0][0]
+    if not w >= -DEFAULTS.psd_check * max(fro_norm(X), 1e-300):
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w:.3e}")
 
 
-def _gate(form: np.ndarray, i: int) -> None:
-    """The positive definiteness gate of form i of a map: linalg.cholesky,
-    whose error names the form."""
-    try:
-        cholesky(form)
-    except Exception as exc:
-        raise type(exc)(f"form {i} is not positive definite: {exc}") from exc
+def _gated(Q: np.ndarray) -> np.ndarray:
+    """The stack Q of symmetric forms, read-only once each form has passed
+    the definiteness gate linalg.cholesky, whose error names the form."""
+    for i, form in enumerate(Q):
+        try:
+            cholesky(form)
+        except LinalgError as exc:
+            raise type(exc)(f"form {i} is not positive definite: {exc}") from exc
+    Q.flags.writeable = False
+    return Q
 
 
 class SimplexVector:
@@ -111,12 +122,9 @@ class SpectahedronPoint:
 
     def __init__(self, mat):
         X = _sym_array(mat)
-        w, _ = sym_eigen(X)
-        scale = max(fro_norm(X), 1e-300)
-        if w[0] < -DEFAULTS.psd_check * scale:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+        _require_psd(X)
         tr = float(np.trace(X))
-        if abs(tr - 1.0) > DEFAULTS.trace_check:
+        if not abs(tr - 1.0) <= DEFAULTS.trace_check:
             raise ValueError(
                 f"trace is {tr!r}, more than {DEFAULTS.trace_check} from 1")
         self.mat = X
@@ -143,29 +151,20 @@ class QuadraticMap:
     __slots__ = ("Q",)
 
     def __init__(self, forms):
-        mats = [_square_array(f) for f in forms]
-        if len(mats) < 1:
+        if len(forms) < 1:
             raise ValueError("a quadratic map needs at least one form")
-        n = mats[0].shape[0]
-        self.Q = np.empty((len(mats), n, n))
-        for i, (m, form) in enumerate(zip(mats, self.Q)):
-            if m.shape[0] != n:
-                raise ValueError(f"form {i} has dimension {m.shape[0]}, expected {n}")
-            np.add(m, m.T, out=form)
-            form *= 0.5
-            _gate(form, i)
-        self.Q.flags.writeable = False
+        n = len(forms[0])
+        Q = np.empty((len(forms), n, n))
+        for form, out in zip(forms, Q):
+            _sym_array(form, out)
+        self.Q = _gated(Q)
 
     @classmethod
     def _take(cls, Q: np.ndarray) -> "QuadraticMap":
-        """The map of a stack of symmetric forms, which it takes over
-        without a copy; each form passes the constructor's gate."""
-        for i, form in enumerate(Q):
-            _square_array(form)
-            _gate(form, i)
+        """The map of a stack of finite symmetric forms, taken over without
+        a copy; each form passes the constructor's gate."""
         qmap = cls.__new__(cls)
-        qmap.Q = Q
-        qmap.Q.flags.writeable = False
+        qmap.Q = _gated(Q)
         return qmap
 
     @property
@@ -194,7 +193,7 @@ class PreconditionedMap:
 
     def __init__(self, hat: QuadraticMap, T: np.ndarray, T_inv: np.ndarray):
         resid = float(np.linalg.norm(hat.Q.sum(axis=0) - np.eye(hat.n)))
-        if resid > DEFAULTS.precondition_residual:
+        if not resid <= DEFAULTS.precondition_residual:
             raise ValueError(f"sum of normalized forms is {resid:.3e} from I")
         self.hat = hat
         self.T = T
@@ -254,15 +253,19 @@ def precondition(qmap: QuadraticMap) -> PreconditionedMap:
     normalized map takes the stack over: in floating point a normalized
     form of a near-singular map can fail the Cholesky gate that every
     original form passed; that raises NotPositiveDefinite (an indefinite
-    form would make ln q_i NaN in rounding).
+    form would make ln q_i NaN in rounding). An S that overflows is a
+    ValueError.
     """
-    T = sqrt_psd(qmap.Q.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = qmap.Q.sum(axis=0)
+    if not np.isfinite(S).all():
+        raise ValueError("the sum of the forms overflows")
+    T = sqrt_psd(S)
     T_inv = inverse_spd(T)
     H = np.empty_like(qmap.Q)
     for Q, form in zip(qmap.Q, H):
         np.matmul(T_inv @ Q, T_inv, out=form)
-        np.add(form, form.T, out=form)
-        form *= 0.5
+        _sym_array(form, form)
     try:
         hat = QuadraticMap._take(H)
     except NotPositiveDefinite as exc:
@@ -419,13 +422,15 @@ def instance_from_json(doc: dict):
     if not isinstance(wit, dict):
         raise InstanceFormatError("witness must be an object")
     if "X" in wit:
-        X = _sym_array(_parse_array(wit["X"], "witness X", (n, n)))
+        X = _parse_array(wit["X"], "witness X", (n, n))
         # Validate PSD and the unit-sum normalization against the map.
-        w, _ = sym_eigen(X)
-        if w[0] < -DEFAULTS.psd_check * max(fro_norm(X), 1e-300):
-            raise InstanceFormatError(f"witness X is not PSD (min eig {w[0]:.3e})")
+        try:
+            X = _sym_array(X)
+            _require_psd(X)
+        except ValueError as exc:
+            raise InstanceFormatError(f"witness X: {exc}") from exc
         total = float(np.einsum("kij,ij->", qmap.Q, X))
-        if abs(total - 1.0) > DEFAULTS.simplex_sum:
+        if not abs(total - 1.0) <= DEFAULTS.simplex_sum:
             raise InstanceFormatError(
                 f"witness is normalized to sum {total!r}, expected 1")
         return qmap, X / total

@@ -359,7 +359,7 @@ def decompose_rank_m(Y: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("m must be at least 1")
     n = Y.shape[0]
     w, V = sym_eigen(Y)
-    if n > m and float(w[: n - m].max()) > DEFAULTS.decompose_rank:
+    if n > m and not float(w[: n - m].max()) <= DEFAULTS.decompose_rank:
         raise ValueError(
             f"rank exceeds {m}: eigenvalue {w[: n - m].max():.3e} beyond the m-th")
     order = np.argsort(w)[::-1][: min(m, n)]
@@ -368,6 +368,6 @@ def decompose_rank_m(Y: np.ndarray, m: int) -> np.ndarray:
     pts[: order.size] = (V[:, order] * np.sqrt(m * lam)).T
     recon = np.einsum("mi,mj->ij", pts, pts) / m
     resid = float(np.linalg.norm(recon - Y))
-    if resid > DEFAULTS.decompose_residual:
+    if not resid <= DEFAULTS.decompose_residual:
         raise ValueError(f"reconstruction residual {resid:.3e} out of tolerance")
     return pts

@@ -256,23 +256,13 @@ def tail_indicator(t: float):
     return lambda q: (q <= t).astype(float)
 
 
-def mc_estimates(lam: SimplexVector, m: int, samples: int,
-                 sampler: GaussianSampler, reducers,
-                 threads: int = 1) -> list[McEstimate]:
-    """One sampling pass of q_m for the diagonal form with spectrum lam.
-
-    Each reducer maps an array of q_m values to per-sample values; the
-    result holds one mean with its standard error per reducer, all from the
-    same ``samples`` draws. The one-estimate case of ``mc_batch``.
-    """
-    return mc_batch([(lam, m, samples, sampler, reducers)], threads)[0]
-
-
 def mc_batch(jobs, threads: int = 1) -> list[list[McEstimate]]:
-    """``mc_estimates`` for each job (lam, m, samples, sampler, reducers),
-    with every (job, block) pair one task of one thread pool.
+    """One sampling pass of q_m for each job (lam, m, samples, sampler,
+    reducers), with every (job, block) pair one task of one thread pool.
 
-    A job's blocks of _MC_BLOCK_ELEMS variates draw from its sampler's
+    Each reducer maps an array of q_m values to per-sample values; a job's
+    result holds one mean with its standard error per reducer, all from
+    the same ``samples`` draws. A job's blocks of _MC_BLOCK_ELEMS variates draw from its sampler's
     substreams, one per block, and each block's per-reducer totals are
     summed in block order, so the estimates do not depend on the thread
     count. A block streams its q_m values through the reduction in pieces
@@ -321,20 +311,20 @@ def mc_batch(jobs, threads: int = 1) -> list[list[McEstimate]]:
 def mc_abs_log_moment(lam: SimplexVector, samples: int,
                       sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Estimate E |ln q| for the form under the standard Gaussian measure."""
-    return mc_estimates(lam, 1, samples, sampler, [abs_log], threads)[0]
+    return mc_batch([(lam, 1, samples, sampler, [abs_log])], threads)[0][0]
 
 
 def mc_tail(lam: SimplexVector, m: int, t: float, samples: int,
             sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Empirical frequency of {q_m >= t} (or {q_m <= t} when t <= 1)."""
-    return mc_estimates(lam, m, samples, sampler, [tail_indicator(t)],
-                        threads)[0]
+    return mc_batch([(lam, m, samples, sampler, [tail_indicator(t)])],
+                    threads)[0][0]
 
 
 def mc_rank_m_abs_log(lam: SimplexVector, m: int, samples: int,
                       sampler: GaussianSampler, threads: int = 1) -> McEstimate:
     """Estimate E |ln q_m| for the m-fold average of the form."""
-    return mc_estimates(lam, m, samples, sampler, [abs_log], threads)[0]
+    return mc_batch([(lam, m, samples, sampler, [abs_log])], threads)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -464,12 +464,15 @@ def test_round_parse_and_invalid_instance_exits(tmp_path, capsys):
                  '{"n": 1, "k": 1, "Q": [[[1.0]]], '
                  '"witness": {"points": [[1.0]], "weights": [[1.0]]}}',
                  # malformed matrix witnesses: not PSD, not PSD with
-                 # entries whose squares overflow, trace 2, the wrong
+                 # entries whose squares overflow, not PSD with entries
+                 # whose symmetrization overflows, trace 2, the wrong
                  # shape, a number, an object with neither X nor points
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[1.5, 0.0], [0.0, -0.5]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[0.5, 1e200], [1e200, 0.5]]}}',
+                 '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
+                 '"witness": {"X": [[0.5, 1e308], [1e308, 0.5]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[1.0, 0.0], [0.0, 1.0]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
@@ -490,11 +493,18 @@ def test_round_parse_and_invalid_instance_exits(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, text
 
+    # a form that is not positive definite, a form whose symmetrized
+    # entries overflow, and finite forms whose sum S overflows
     notpd = tmp_path / "notpd.json"
-    notpd.write_text(json.dumps(
-        {"n": 2, "k": 1, "Q": [[[1.0, 2.0], [2.0, 1.0]]]}))
-    assert run_cli("--quiet", "round", str(notpd), "--rank-one",
-                   "--seed", "1") == 3
+    for forms, msg in (([[[1.0, 2.0], [2.0, 1.0]]], "not positive definite"),
+                       ([[[1.7e308, 0.0], [0.0, 1.0]]], "(A + A') / 2"),
+                       ([[[5e307, 0.0], [0.0, 1.0]]] * 4, "sum of the forms")):
+        notpd.write_text(json.dumps({"n": 2, "k": len(forms), "Q": forms}))
+        assert run_cli("--quiet", "round", str(notpd), "--rank-one", "--seed",
+                       "1", "--witness-random", "--budget", "5") == 3, forms
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and msg in err, err
+        assert "Traceback" not in err
 
     # both or neither rounding mode
     inst = tmp_path / "inst.json"

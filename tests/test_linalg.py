@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from quadround import (GaussianSampler, LinalgError, NotPositiveDefinite,
-                       cholesky, inverse_spd, sqrt_psd, sym_eigen)
+                       cholesky, decompose_rank_m, inverse_spd, sqrt_psd,
+                       sym_eigen)
 from quadround.linalg import EigenConvergenceError, fro_norm
 
 
@@ -20,6 +21,16 @@ def test_nonsymmetric_input_fails_loudly():
     with pytest.raises(EigenConvergenceError):
         sym_eigen(A)
     for fn in (cholesky, sqrt_psd, inverse_spd):
+        with pytest.raises(LinalgError):
+            fn(A)
+
+
+def test_nan_input_fails_closed():
+    # every tolerance comparison is written so that NaN fails it: LAPACK
+    # returns NaN factors for a NaN matrix, and none may pass as a result
+    A = np.full((2, 2), np.nan)
+    for fn in (sym_eigen, sqrt_psd, cholesky, inverse_spd,
+               lambda a: decompose_rank_m(a, 1)):
         with pytest.raises(LinalgError):
             fn(A)
 

@@ -47,6 +47,11 @@ def test_quadratic_map_symmetrizes_and_validates():
     assert X.mat[0, 1] == 0.1
     with pytest.raises(ValueError):
         SpectahedronPoint([[np.inf]])
+    # finite entries whose sum A + A' overflows are refused as well
+    with pytest.raises(ValueError, match="must be finite"):
+        QuadraticMap([[[1.7e308, 0.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="must be finite"):
+        SpectahedronPoint([[0.5, 1e308], [1e308, 0.5]])
 
 
 def test_boundary_symmetrization_is_exact():
@@ -163,6 +168,10 @@ def test_precondition_examples():
     prec = precondition(QuadraticMap([np.eye(2), np.eye(2)]))
     assert np.allclose(prec.T, math.sqrt(2.0) * np.eye(2))
     assert np.allclose(prec.hat.Q, np.stack([np.eye(2) / 2] * 2), atol=1e-12)
+
+    # each form is finite, but their sum S overflows
+    with pytest.raises(ValueError, match="sum of the forms overflows"):
+        precondition(QuadraticMap([np.diag([5e307, 1.0])] * 4))
 
 
 def test_precondition_stack_matches_per_form_congruence():

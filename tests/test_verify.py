@@ -9,9 +9,9 @@ from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        check_sandwich, mc_abs_log_moment, mc_rank_m_abs_log,
                        mc_tail, phi, sphere_max_oracle)
 import quadround.verify as verify_mod
-from quadround.verify import (SUITES, abs_log, mc_batch, mc_estimates,
-                              suite_constants, suite_lemma21, suite_lemma51,
-                              suite_sandwich, tail_indicator)
+from quadround.verify import (SUITES, abs_log, mc_batch, suite_constants,
+                              suite_lemma21, suite_lemma51, suite_sandwich,
+                              tail_indicator)
 
 from conftest import make_map, make_simplex, near_rank_one, sandwich_instance
 
@@ -302,14 +302,14 @@ def test_mc_estimates_one_pass_matches_single_estimators():
     # the shared pass gives each reducer exactly what its own estimator gives
     form = SimplexVector([0.2, 0.5, 0.3])
     for m in (1, 4):
-        est, tail = mc_estimates(form, m, 5000, GaussianSampler(13),
-                                 [abs_log, tail_indicator(2.0)])
+        (est, tail), = mc_batch([(form, m, 5000, GaussianSampler(13),
+                                  [abs_log, tail_indicator(2.0)])])
         assert est == mc_rank_m_abs_log(form, m, 5000, GaussianSampler(13))
         assert tail == mc_tail(form, m, 2.0, 5000, GaussianSampler(13))
     assert mc_abs_log_moment(form, 5000, GaussianSampler(13)) == \
         mc_rank_m_abs_log(form, 1, 5000, GaussianSampler(13))
     with pytest.raises(ValueError):
-        mc_estimates(form, 1, 999, GaussianSampler(13), [abs_log])
+        mc_batch([(form, 1, 999, GaussianSampler(13), [abs_log])])
 
 
 def test_mean_square_rows_m1_is_squared_box_muller():
@@ -347,7 +347,7 @@ def test_streamed_block_matches_whole_block_product(m):
         lam = make_simplex(40 + k, k)
         for rows in (chunk, chunk + 1, 2 * chunk + 17, 3 * chunk - 5):
             seen.clear()
-            mc_estimates(lam, m, rows, GaussianSampler(k), [keep])
+            mc_batch([(lam, m, rows, GaussianSampler(k), [keep])])
             (q,) = seen
             ref = _whole_block_q(lam.values, m, rows, k)
             assert q.tobytes() == ref.tobytes(), (k, rows)
@@ -360,8 +360,8 @@ def test_mc_block_memory():
     lam = SimplexVector(np.full(8, 0.125))
     tracemalloc.start()
     try:
-        mc_estimates(lam, 1, 10 ** 5, GaussianSampler(3),
-                     [abs_log, tail_indicator(2.0)])
+        mc_batch([(lam, 1, 10 ** 5, GaussianSampler(3),
+                   [abs_log, tail_indicator(2.0)])])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -383,9 +383,10 @@ def test_gamma_law_matches_direct_gaussian_average(m):
     lam = np.array([0.55, 0.3, 0.1, 0.05])
     rows = 20000
     t = 1.0 + 3.0 / math.sqrt(m)
-    est, tail, mean = mc_estimates(SimplexVector(lam), m, rows,
-                                   GaussianSampler(20 + m),
-                                   [abs_log, tail_indicator(t), lambda q: q])
+    (est, tail, mean), = mc_batch([(SimplexVector(lam), m, rows,
+                                    GaussianSampler(20 + m),
+                                    [abs_log, tail_indicator(t),
+                                     lambda q: q])])
     qm = _direct_average(lam, m, rows, GaussianSampler(30 + m))
     for gamma_est, direct in ((est, np.abs(np.log(qm))),
                               (tail, (qm >= t).astype(float))):
@@ -410,7 +411,7 @@ def test_mc_suites_threads_bit_identical_across_blocks(monkeypatch):
 
 def test_mc_batch_equals_each_job_alone(monkeypatch):
     # small blocks: each job spans several blocks, so a pool of 3 mixes the
-    # jobs' tasks; every job's estimates are those of its own mc_estimates
+    # jobs' tasks; every job's estimates are those of the job run alone
     monkeypatch.setattr(verify_mod, "_MC_BLOCK_ELEMS", 1 << 11)
     jobs = [
         (make_simplex(50, 2), 1, 3000, GaussianSampler(51), [abs_log]),
@@ -419,7 +420,7 @@ def test_mc_batch_equals_each_job_alone(monkeypatch):
         (make_simplex(54, 8), 1, 4001, GaussianSampler(55),
          [tail_indicator(0.5), lambda q: q, abs_log]),
     ]
-    alone = [mc_estimates(*job) for job in jobs]
+    alone = [mc_batch([job])[0] for job in jobs]
     assert [len(est) for est in alone] == [1, 2, 3]
     for threads in (1, 3):
         assert mc_batch(jobs, threads) == alone, threads

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._util import brentq
 from .config import DEFAULTS
 
 
@@ -70,7 +71,6 @@ def phi(t: float) -> float:
     if t < 1.0:
         raise ValueError("phi is defined for t >= 1")
     # imported here, so gen, report and lemma51 never load scipy
-    from scipy.optimize import brentq
     from scipy.special import digamma
 
     def deriv(a: float) -> float:

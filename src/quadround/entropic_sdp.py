@@ -43,9 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import brentq, scipy_core
 from .config import DEFAULTS
 from .linalg import sqrt_psd, sym_eigen
 from .quadmap import QuadraticMap, SimplexVector
+
+# the sphere polish's stop: the largest gradient entry is at most this
+_POLISH_GTOL = 1e-9
 
 
 @dataclass
@@ -92,9 +96,6 @@ def _line_search(alpha: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     derivative's root to xtol DEFAULTS.root. c and d are the per-form inner
     products at the current point and at the vertex.
     """
-    # imported here, so gen, report and lemma51 never load scipy
-    from scipy.optimize import brentq
-
     diff = d - c
 
     def deriv(g: float) -> float:
@@ -115,14 +116,18 @@ def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
     2 (Y / ||Y||_F^2 - G Y) with f and G from _evaluate at Y Y'. Returns
     Y Y' / trace, symmetrized, with its evaluation, or X with its
     evaluation if that value is higher, so the objective never decreases.
-    The ascent stops at gtol 1e-9, as verify's sphere oracle does; a stop
-    at roundoff would make its length hinge on ulp-level changes in its
-    start.
-    """
-    # imported here, so gen, report and lemma51 never load scipy
-    from scipy.optimize import minimize
 
+    The loop drives scipy's L-BFGS-B core (setulb) as ``minimize`` does
+    (memory 10, at most 20 line-search steps, ftol 1e-16, gtol
+    _POLISH_GTOL, 400 iterations), with the same iterates bit for bit.
+    minimize's 15 000 evaluation cap cannot fire first: 400 iterations
+    make at most 400 * 21 evaluations. The gtol is the sphere oracle's; a
+    stop at roundoff would make the polish's length hinge on ulp-level
+    changes in its start.
+    """
+    setulb = scipy_core("_lbfgsb").setulb
     n = X.shape[0]
+    y = sqrt_psd(X).ravel()
 
     def neg(y):
         Y = y.reshape(n, n)
@@ -130,9 +135,25 @@ def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
         sq = float(y @ y)
         return math.log(sq) - f, (2.0 * (Y / sq - G @ Y)).ravel()
 
-    res = minimize(neg, sqrt_psd(X).ravel(), jac=True, method="L-BFGS-B",
-                   options={"gtol": 1e-9, "ftol": 1e-16, "maxiter": 400})
-    Y = res.x.reshape(n, n)
+    N, m = n * n, 10
+    unbounded, nbd = np.zeros(N), np.zeros(N, np.int32)
+    wa = np.zeros(2 * m * N + 5 * N + 11 * m * m + 8 * m)
+    iwa, task, ln_task, lsave, isave = (np.zeros(size, np.int32)
+                                        for size in (3 * N, 2, 2, 4, 44))
+    f, g, dsave, nit = 0.0, np.zeros(N), np.zeros(29), 0
+    factr = 1e-16 / np.finfo(float).eps
+    while True:
+        setulb(m, y, unbounded, unbounded, nbd, f, g, factr, _POLISH_GTOL,
+               wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:          # FG: f and g at the current y
+            f, g = neg(y)
+        elif task[0] == 1:        # NEW_X: one iteration done
+            nit += 1
+            if nit >= 400:
+                break
+        else:                     # converged, or the line search failed
+            break
+    Y = y.reshape(n, n)
     Xt = Y @ Y.T
     Xt = 0.5 * (Xt + Xt.T) / np.trace(Xt)
     before, after = _evaluate(Qflat, al, X), _evaluate(Qflat, al, Xt)

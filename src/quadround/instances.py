@@ -55,11 +55,16 @@ def random_witness(sampler: GaussianSampler, qmap: QuadraticMap) -> np.ndarray:
 
     The scaling makes the induced hull point a_i = <Q_i, X> a probability
     vector; after preconditioning the transported witness T X T has unit
-    trace and lands on the spectahedron.
+    trace and lands on the spectahedron. Raises ArithmeticError when the
+    sum is not positive or the scaled X would overflow (forms so small
+    that the sum is subnormal); W's largest entry is on its diagonal.
     """
     H = sampler.normals((qmap.n, qmap.n))
     W = H @ H.T
     total = float(np.einsum("kij,ij->", qmap.Q, W))
-    if total <= 0.0:
+    if not total > 0.0:
         raise ArithmeticError("degenerate Wishart draw")
+    if float(np.max(W)) / total > np.finfo(float).max:
+        raise ArithmeticError(
+            f"the witness overflows when scaled by 1 / {total!r}")
     return W / total

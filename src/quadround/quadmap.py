@@ -57,8 +57,12 @@ def _sym_array(mat, out=None) -> np.ndarray:
 
 def _require_psd(X: np.ndarray) -> None:
     """Raise ValueError unless the symmetric array X is PSD: its least
-    eigenvalue is at least -DEFAULTS.psd_check * ||X||_F."""
-    w = sym_eigen(X)[0][0]
+    eigenvalue is at least -DEFAULTS.psd_check * ||X||_F, a norm that must
+    not overflow."""
+    try:
+        w = sym_eigen(X)[0][0]
+    except OverflowError as exc:
+        raise ValueError("the Frobenius norm of the matrix overflows") from exc
     if not w >= -DEFAULTS.psd_check * max(fro_norm(X), 1e-300):
         raise ValueError(f"matrix is not PSD: min eigenvalue {w:.3e}")
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_indexed
+from ._util import map_indexed, scipy_core
 from .bounds import (BoundReport, constants_report, laplace_tail_upper, phi,
                      rank_m_abs_log)
 from .entropic_sdp import solve
@@ -141,9 +141,7 @@ def _ascend(Qstack: np.ndarray, al: np.ndarray,
     gradient. On the sandwich and near-rank-one corpora the steps that a
     gtol of 1e-14 adds move the value by less than 1e-15.
     """
-    # imported here, so gen, report and lemma51 never load scipy
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = scipy_core("_lbfgsb").setulb
     x = np.array(starts, dtype=np.float64)      # row s: start s's iterate
     S, n = x.shape
     m = 10

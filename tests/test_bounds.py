@@ -6,7 +6,8 @@ import pytest
 from quadround import (constants, gauss_log_moments, laplace_tail_upper,
                        log_gamma, phi, phi_expression, rank_m_abs_log,
                        rank_m_beta)
-from quadround.bounds import constants_report, ln2_moment_identity
+from quadround.bounds import _phi_log, constants_report, ln2_moment_identity
+from quadround.config import DEFAULTS
 
 
 def test_log_gamma_examples():
@@ -56,6 +57,24 @@ def test_phi_minimizes_over_alpha(t):
     val = phi(t)
     for a in grid:
         assert val <= phi_expression(t, a) * (1.0 + 1e-12)
+
+
+def test_phi_matches_scipy_brentq():
+    # phi calls the compiled Brent core that scipy's brentq calls, with
+    # brentq's arguments: the same value, bit for bit, on a t grid that
+    # covers the boundary case alpha = 1 and interior minimizers
+    from scipy.optimize import brentq
+    from scipy.special import digamma
+
+    for t in np.append(np.geomspace(1.0, 1000.0, 61), [2.5, 6.0, 115.0]):
+        t = float(t)
+
+        def deriv(a):
+            return float(digamma(a + 0.5)) - math.log(0.5 * t)
+
+        alpha = 1.0 if deriv(1.0) >= 0.0 else brentq(
+            deriv, 1.0, t, xtol=DEFAULTS.root)
+        assert phi(t) == math.exp(_phi_log(t, alpha)), t
 
 
 def test_laplace_tail_examples():

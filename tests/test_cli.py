@@ -465,14 +465,18 @@ def test_round_parse_and_invalid_instance_exits(tmp_path, capsys):
                  '"witness": {"points": [[1.0]], "weights": [[1.0]]}}',
                  # malformed matrix witnesses: not PSD, not PSD with
                  # entries whose squares overflow, not PSD with entries
-                 # whose symmetrization overflows, trace 2, the wrong
-                 # shape, a number, an object with neither X nor points
+                 # whose symmetrization overflows, PSD with a Frobenius
+                 # norm that overflows, trace 2, the wrong shape, a
+                 # number, an object with neither X nor points
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[1.5, 0.0], [0.0, -0.5]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[0.5, 1e200], [1e200, 0.5]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[0.5, 1e308], [1e308, 0.5]]}}',
+                 '{"n": 3, "k": 1, "Q": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], '
+                 '[0.0, 0.0, 1.0]]], "witness": {"X": [[8e307, 8e307, 8e307], '
+                 '[8e307, 8e307, 8e307], [8e307, 8e307, 8e307]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
                  '"witness": {"X": [[1.0, 0.0], [0.0, 1.0]]}}',
                  '{"n": 2, "k": 1, "Q": [[[1.0, 0.0], [0.0, 1.0]]], '
@@ -494,11 +498,13 @@ def test_round_parse_and_invalid_instance_exits(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err, text
 
     # a form that is not positive definite, a form whose symmetrized
-    # entries overflow, and finite forms whose sum S overflows
+    # entries overflow, finite forms whose sum S overflows, and subnormal
+    # forms, whose random witness would overflow when normalized
     notpd = tmp_path / "notpd.json"
     for forms, msg in (([[[1.0, 2.0], [2.0, 1.0]]], "not positive definite"),
                        ([[[1.7e308, 0.0], [0.0, 1.0]]], "(A + A') / 2"),
-                       ([[[5e307, 0.0], [0.0, 1.0]]] * 4, "sum of the forms")):
+                       ([[[5e307, 0.0], [0.0, 1.0]]] * 4, "sum of the forms"),
+                       ([[[1e-320, 0.0], [0.0, 1e-320]]], "witness overflows")):
         notpd.write_text(json.dumps({"n": 2, "k": len(forms), "Q": forms}))
         assert run_cli("--quiet", "round", str(notpd), "--rank-one", "--seed",
                        "1", "--witness-random", "--budget", "5") == 3, forms
@@ -817,16 +823,24 @@ def test_blas_pinned_to_one_thread(tmp_path):
 
 def test_gen_report_lemma51_and_usage_errors_skip_scipy(tmp_path):
     # scipy is imported where it is used, so these commands never load it;
-    # round, run afterwards in the same process, imports it and gives the
-    # digest of a process that had scipy loaded from the start (this one)
-    ref, ref_r, inst, res, l51 = (str(tmp_path / f) for f in (
-        "ref.json", "ref_r.json", "inst.json", "r.json", "l51.json"))
+    # round and the sandwich and lemma21 suites, run afterwards in the same
+    # process, load scipy but never scipy.optimize (they call its compiled
+    # cores), and give the bytes of a process that had scipy.optimize
+    # loaded from the start (this one)
+    ref, inst, l51 = (str(tmp_path / f) for f in ("ref.json", "inst.json",
+                                                  "l51.json"))
     gen = ["gen", "--n", "6", "--k", "4", "--seed", "3", "--witness-random"]
     assert run_cli("--quiet", *gen, "--out", ref) == 0
-    rnd = ["--rank-m", "4", "--budget", "20", "--seed", "2"]
-    assert run_cli("--quiet", "round", ref, *rnd, "--out", ref_r) == 0
-    with open(ref_r, encoding="utf-8") as fh:
-        want = json.load(fh)["result_digest"]
+    rounds = [["round", ref, "--rank-m", "4", "--budget", "20", "--seed", "2"],
+              ["round", ref, "--rank-one", "--budget", "50", "--seed", "2"]]
+    verifies = [["verify", "--suite", "sandwich", "--seed", "1"],
+                ["verify", "--suite", "lemma21", "--samples", "1e3",
+                 "--seed", "1"]]
+    runs = [(argv, "--out", str(tmp_path / f"r{i}")) for i, argv in
+            enumerate(rounds)] + [(argv, "--json", str(tmp_path / f"v{i}"))
+                                  for i, argv in enumerate(verifies)]
+    for argv, flag, out in runs:
+        assert run_cli("--quiet", *argv, flag, out + "_ref.json") == 0
     code = f"""
 import json, sys
 from quadround.cli import main
@@ -834,23 +848,29 @@ def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 codes = [
     main(["--quiet", *{gen!r}, "--out", {inst!r}]),
-    main(["--quiet", "report", {ref_r!r}]),
+    main(["--quiet", "report", {runs[0][2] + "_ref.json"!r}]),
     main(["--quiet", "verify", "--suite", "lemma51", "--samples", "1e3",
           "--seed", "1", "--json", {l51!r}]),
     main(["--quiet", "round", {inst!r}, "--rank-one", "--seed", "-1"]),
 ]
 before = scipy_modules()
-codes.append(main(["--quiet", "round", {inst!r}, *{rnd!r}, "--out", {res!r}]))
-with open({res!r}, encoding="utf-8") as fh:
-    digest = json.load(fh)["result_digest"]
-print(json.dumps({{"codes": codes, "scipy": before, "digest": digest}}))
+for argv, flag, out in {runs!r}:
+    codes.append(main(["--quiet", *argv, flag, out + ".json"]))
+optimize = [m for m in scipy_modules() if m.startswith("scipy.optimize")]
+print(json.dumps({{"codes": codes, "scipy": before, "optimize": optimize}}))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["codes"] == [0, 0, 0, 2, 0]
+    assert out["codes"] == [0, 0, 0, 2, 0, 0, 0, 0]
     assert out["scipy"] == []
-    assert out["digest"] == want
+    assert out["optimize"] == []
+    for _, _, path in runs:
+        with open(path + ".json", "rb") as a, open(path + "_ref.json", "rb") as b:
+            got, want = a.read(), b.read()
+        if path.endswith(("r0", "r1")):
+            got, want = (json.loads(t)["result_digest"] for t in (got, want))
+        assert got == want, path
     with open(inst, "rb") as a, open(ref, "rb") as b:
         assert a.read() == b.read()

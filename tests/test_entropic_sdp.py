@@ -6,6 +6,9 @@ import scipy.optimize
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        hull_point_from_witness, precondition, solve)
+from quadround._util import brentq, scipy_core
+from quadround.config import DEFAULTS
+from quadround.linalg import sqrt_psd
 import quadround.entropic_sdp as sdp_mod
 from quadround.instances import random_map, random_witness
 
@@ -99,23 +102,89 @@ def test_line_search_interior_matches_grid():
         checked += 1
 
 
-def test_polish_stop_matches_roundoff_reference(monkeypatch):
-    # the polish stops at gtol 1e-9; run to gtol 1e-14 (roundoff) it gains
-    # at most 1e-14 on the seed-1 sandwich instances and n = 64 maps
+def test_line_search_matches_scipy_brentq():
+    # the line search calls the compiled Brent core that scipy's brentq
+    # calls, with brentq's arguments: the same root, bit for bit, on
+    # random interior brackets
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 200:
+        k = int(rng.integers(1, 8))
+        al = rng.dirichlet(np.ones(k))
+        c, d = rng.uniform(0.01, 3.0, k), rng.uniform(0.01, 3.0, k)
+        diff = d - c
+
+        def deriv(g):
+            return float(np.sum(al * diff / (c + g * diff)))
+
+        if deriv(1.0) >= 0.0 or deriv(0.0) <= 0.0:
+            continue
+        want = scipy.optimize.brentq(deriv, 0.0, 1.0, xtol=DEFAULTS.root)
+        assert sdp_mod._line_search(al, c, d) == want
+        checked += 1
+
+
+def test_brentq_refuses_nan_and_missing_core():
+    # a NaN value stops the root finder with ValueError, as in scipy's
+    # brentq; a core that scipy does not ship raises ImportError
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.25 else -1.0, 0.0, 1.0, 1e-12)
+    with pytest.raises(ImportError, match="_no_such_core"):
+        scipy_core("_no_such_core")
+
+
+def _polish_cases():
+    """The seed-1 sandwich instances and three preconditioned n = 64 maps."""
     cases = [sandwich_instance(1, j)[:2] for j in range(100)]
     for seed in range(3):
         prec, Xh = make_preconditioned(700 + seed, 64, 10)
         cases.append((prec.hat, hull_point_from_witness(prec.hat, Xh)))
+    return cases
+
+
+def test_polish_matches_scipy_minimize_bit_for_bit(monkeypatch):
+    # the polish drives scipy's L-BFGS-B core itself; from every point
+    # solve polishes on the cases, it returns what the same ascent through
+    # scipy.optimize.minimize returns, bit for bit. A scipy release that
+    # changes the core's arguments or its iterates fails here.
+    starts = []
+    polish = sdp_mod._sphere_polish
+
+    def recording(Qflat, al, X):
+        starts.append((Qflat, al, X.copy()))
+        return polish(Qflat, al, X)
+
+    monkeypatch.setattr(sdp_mod, "_sphere_polish", recording)
+    for qmap, alpha in _polish_cases():
+        solve(qmap, alpha)
+    assert len(starts) > 100
+    for Qflat, al, X in starts:
+        n = X.shape[0]
+
+        def neg(y):
+            Y = y.reshape(n, n)
+            _, f, G = sdp_mod._evaluate(Qflat, al, Y @ Y.T)
+            sq = float(y @ y)
+            return math.log(sq) - f, (2.0 * (Y / sq - G @ Y)).ravel()
+
+        res = scipy.optimize.minimize(
+            neg, sqrt_psd(X).ravel(), jac=True, method="L-BFGS-B",
+            options={"gtol": 1e-9, "ftol": 1e-16, "maxiter": 400})
+        Y = res.x.reshape(n, n)
+        Xt = Y @ Y.T
+        Xt = 0.5 * (Xt + Xt.T) / np.trace(Xt)
+        before, after = (sdp_mod._evaluate(Qflat, al, Z) for Z in (X, Xt))
+        want, value = (X, before[1]) if after[1] < before[1] else (Xt, after[1])
+        got = polish(Qflat, al, X)
+        assert np.array_equal(got[0], want) and got[1][1] == value
+
+
+def test_polish_stop_matches_roundoff_reference(monkeypatch):
+    # the polish stops at gtol 1e-9; run to gtol 1e-14 (roundoff) it gains
+    # at most 1e-14 on the seed-1 sandwich instances and n = 64 maps
+    cases = _polish_cases()
     sols = [solve(qmap, alpha) for qmap, alpha in cases]
-    minimize = scipy.optimize.minimize
-
-    def to_roundoff(*args, **kwargs):
-        kwargs["options"] = dict(kwargs["options"], gtol=1e-14)
-        return minimize(*args, **kwargs)
-
-    # _sphere_polish imports minimize on each call, so the patch goes on
-    # scipy.optimize
-    monkeypatch.setattr(scipy.optimize, "minimize", to_roundoff)
+    monkeypatch.setattr(sdp_mod, "_POLISH_GTOL", 1e-14)
     for (qmap, alpha), sol in zip(cases, sols):
         ref = solve(qmap, alpha)
         assert sol.converged and ref.converged

@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic parallel map, canonical JSON, digests,
-and scipy's compiled optimization cores."""
+and scipy's compiled optimization and quadrature cores."""
 
 from __future__ import annotations
 
@@ -60,10 +60,11 @@ _CORE_LOCK = threading.Lock()
 
 @functools.cache
 def scipy_core(name: str):
-    """scipy's compiled extension ``scipy.optimize.<name>``, loaded from its
-    file without running ``scipy.optimize``'s ``__init__`` (hundreds of
-    modules). It is kept out of sys.modules, where it would lack its
-    parent package; once ``scipy.optimize`` is imported, its own copy is
+    """scipy's compiled extension ``scipy.<name>`` (say ``optimize._zeros``),
+    loaded from its file without running its package's ``__init__``
+    (hundreds of modules for ``scipy.optimize``, which ``scipy.integrate``
+    imports). It is kept out of sys.modules, where it would lack its
+    parent package; once the package is imported, its own copy is
     returned. Raises ImportError if the file is not there.
     """
     # imported here, so gen, report and lemma51 never load scipy
@@ -72,8 +73,9 @@ def scipy_core(name: str):
 
     import scipy
 
-    fullname = f"scipy.optimize.{name}"
-    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    fullname = f"scipy.{name}"
+    folder = os.path.join(os.path.dirname(scipy.__file__),
+                          *name.split(".")[:-1])
     with _CORE_LOCK:
         module = sys.modules.get(fullname)
         if module is not None:
@@ -100,5 +102,24 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
                              "solver cannot continue")
         return fx
 
-    return scipy_core("_zeros")._brentq(
+    return scipy_core("optimize._zeros")._brentq(
         checked, a, b, xtol, 4 * sys.float_info.epsilon, 100, (), False, True)
+
+
+def quad(f, a: float, b: float, epsabs: float, epsrel: float,
+         limit: int) -> tuple[float, float]:
+    """``scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+    limit=limit)`` for a <= b, b finite or inf, through the same compiled
+    QUADPACK routines (qagse, qagie); returns (value, error estimate).
+    Every QUADPACK error code raises ArithmeticError (quad warns of codes
+    1-5)."""
+    quadpack = scipy_core("integrate._quadpack")
+    if b == math.inf:
+        val, err, ier = quadpack._qagie(f, a, 1, (), 0, epsabs, epsrel, limit)
+    else:
+        val, err, ier = quadpack._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
+    if ier != 0:
+        raise ArithmeticError(
+            f"QUADPACK error code {ier} on [{a}, {b}]: value {val}, "
+            f"error estimate {err:.2e}")
+    return val, err

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._util import brentq
+from ._util import brentq, quad
 from .config import DEFAULTS
 
 
@@ -98,12 +98,10 @@ def gauss_log_moments() -> tuple[float, float]:
       m2 = (8 / sqrt(2 pi)) int_0^inf ln^2 x exp(-x^2/2) dx   (below 6.55).
     m1 is E |ln q| for a rank-one form and m2 is E ln^2 of a squared standard
     normal. The integrable log singularity at 0 is handled by splitting the
-    range at x = 1 (QUADPACK adapts to the endpoint). Raises if the reported
-    quadrature error exceeds abs_tol = DEFAULTS.quad_abs.
+    range at x = 1 (QUADPACK adapts to the endpoint). Raises ArithmeticError
+    on a QUADPACK error code or if the reported quadrature error exceeds
+    abs_tol = DEFAULTS.quad_abs.
     """
-    # imported here, its only use, so other commands skip the import
-    from scipy.integrate import quad
-
     abs_tol = DEFAULTS.quad_abs
 
     def integrate(f) -> float:

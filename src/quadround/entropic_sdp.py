@@ -125,7 +125,7 @@ def _sphere_polish(Qflat: np.ndarray, al: np.ndarray, X: np.ndarray):
     stop at roundoff would make the polish's length hinge on ulp-level
     changes in its start.
     """
-    setulb = scipy_core("_lbfgsb").setulb
+    setulb = scipy_core("optimize._lbfgsb").setulb
     n = X.shape[0]
     y = sqrt_psd(X).ravel()
 

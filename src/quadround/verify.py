@@ -141,7 +141,7 @@ def _ascend(Qstack: np.ndarray, al: np.ndarray,
     gradient. On the sandwich and near-rank-one corpora the steps that a
     gtol of 1e-14 adds move the value by less than 1e-15.
     """
-    setulb = scipy_core("_lbfgsb").setulb
+    setulb = scipy_core("optimize._lbfgsb").setulb
     x = np.array(starts, dtype=np.float64)      # row s: start s's iterate
     S, n = x.shape
     m = 10

@@ -6,6 +6,7 @@ import pytest
 from quadround import (constants, gauss_log_moments, laplace_tail_upper,
                        log_gamma, phi, phi_expression, rank_m_abs_log,
                        rank_m_beta)
+from quadround._util import quad
 from quadround.bounds import _phi_log, constants_report, ln2_moment_identity
 from quadround.config import DEFAULTS
 
@@ -107,6 +108,42 @@ def test_gauss_log_moments():
     assert 1.75 < m1 < 1.77
     assert 6.54 < m2 < 6.55
     assert abs(m2 - ln2_moment_identity()) <= 1e-6
+
+
+def test_quad_matches_scipy_quad_bit_for_bit():
+    # _util.quad calls the QUADPACK routines that scipy's quad calls, with
+    # quad's arguments: the same value and error estimate, bit for bit, on
+    # the two log-moment integrands and on other finite and infinite ranges
+    from scipy.integrate import quad as scipy_quad
+
+    def log_abs(x):
+        return abs(math.log(x)) * math.exp(-0.5 * x * x)
+
+    def log_sq(x):
+        return (math.log(x) ** 2) * math.exp(-0.5 * x * x)
+
+    cases = [(f, a, b) for f in (log_abs, log_sq)
+             for (a, b) in ((0.0, 1.0), (1.0, math.inf))]
+    cases += [(lambda x: math.exp(-x), 0.0, math.inf),
+              (lambda x: math.exp(-x), 2.0, math.inf),
+              (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
+              (lambda x: 1.0 / (1.0 + x * x), -1.0, math.inf),
+              (math.sin, 0.0, 10.0)]
+    kw = dict(epsabs=DEFAULTS.quad_abs * 0.1, epsrel=1e-12, limit=200)
+    for f, a, b in cases:
+        assert quad(f, a, b, **kw) == scipy_quad(f, a, b, **kw), (a, b)
+
+
+def test_quad_refuses_a_quadpack_error_code():
+    # 1/x diverges on (0, 1): scipy's quad warns and returns a value, the
+    # wrapper raises ArithmeticError
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
+
+    kw = dict(epsabs=1e-10, epsrel=1e-12, limit=200)
+    with pytest.warns(IntegrationWarning):
+        scipy_quad(lambda x: 1.0 / x, 0.0, 1.0, **kw)
+    with pytest.raises(ArithmeticError, match="QUADPACK error code"):
+        quad(lambda x: 1.0 / x, 0.0, 1.0, **kw)
 
 
 def test_trigamma_identity_value():

@@ -8,7 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
+# imported at collection, before any test loads a scipy core: in-process runs
+# use scipy.integrate's own QUADPACK core, fresh processes the one by file
+import scipy.integrate  # noqa: F401
 
 from quadround import (GaussianSampler, QuadraticMap, SimplexVector,
                        instance_to_json, kl_divergence, load_instance,
@@ -17,6 +19,7 @@ from quadround.bounds import BoundReport
 from quadround.cli import main, result_digest
 from quadround.instances import random_map, random_witness
 from quadround.linalg import LinalgError, NotPositiveDefinite
+import quadround.bounds as bounds_mod
 import quadround.cli as cli_mod
 import quadround.entropic_sdp as sdp_mod
 import quadround.rounding as rounding_mod
@@ -710,9 +713,8 @@ def test_round_quiet_after_subcommand(tmp_path, capsys):
     (sdp_mod, "_evaluate", AssertionError("some <Q_i, X> <= 0")),
     (rounding_mod, "kl_divergence", AssertionError("KL came out -1e-03")),
     (cli_mod, "random_witness", ArithmeticError("degenerate Wishart draw")),
-    # a quadrature error estimate above DEFAULTS.quad_abs; bounds imports
-    # quad when it integrates, so the patch goes on scipy.integrate
-    (scipy.integrate, "quad", None),
+    # a quadrature error estimate above DEFAULTS.quad_abs
+    (bounds_mod, "quad", None),
 ], ids=["LinalgError", "AssertionError-inner-values", "AssertionError-kl",
         "ArithmeticError-witness", "ArithmeticError-quadrature"])
 def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys, module, attr,
@@ -729,7 +731,7 @@ def test_numerical_failure_exit3(tmp_path, monkeypatch, capsys, module, attr,
         raise exc
     monkeypatch.setattr(module, attr, failing)
     argv = (["verify", "--suite", "constants", "--seed", "1"]
-            if module is scipy.integrate else
+            if module is bounds_mod else
             ["round", str(inst), "--rank-one", "--seed", "1",
              "--witness-random"])
     assert run_cli("--quiet", *argv) == 3
@@ -789,8 +791,8 @@ def test_console_script_installed():
 
 
 def test_cli_import_skips_quadrature():
-    # only the constants suite integrates, so no other command should pay
-    # for importing scipy.integrate
+    # only the constants suite integrates, through QUADPACK's compiled
+    # core, so importing the CLI must not import scipy.integrate
     code = "import sys, quadround.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
@@ -823,10 +825,10 @@ def test_blas_pinned_to_one_thread(tmp_path):
 
 def test_gen_report_lemma51_and_usage_errors_skip_scipy(tmp_path):
     # scipy is imported where it is used, so these commands never load it;
-    # round and the sandwich and lemma21 suites, run afterwards in the same
-    # process, load scipy but never scipy.optimize (they call its compiled
-    # cores), and give the bytes of a process that had scipy.optimize
-    # loaded from the start (this one)
+    # round and the sandwich, lemma21 and constants suites, run afterwards
+    # in the same process, load scipy but never scipy.optimize or
+    # scipy.integrate (they call their compiled cores), and give the bytes
+    # of a process that had both loaded from the start (this one)
     ref, inst, l51 = (str(tmp_path / f) for f in ("ref.json", "inst.json",
                                                   "l51.json"))
     gen = ["gen", "--n", "6", "--k", "4", "--seed", "3", "--witness-random"]
@@ -835,7 +837,8 @@ def test_gen_report_lemma51_and_usage_errors_skip_scipy(tmp_path):
               ["round", ref, "--rank-one", "--budget", "50", "--seed", "2"]]
     verifies = [["verify", "--suite", "sandwich", "--seed", "1"],
                 ["verify", "--suite", "lemma21", "--samples", "1e3",
-                 "--seed", "1"]]
+                 "--seed", "1"],
+                ["verify", "--suite", "constants", "--seed", "1"]]
     runs = [(argv, "--out", str(tmp_path / f"r{i}")) for i, argv in
             enumerate(rounds)] + [(argv, "--json", str(tmp_path / f"v{i}"))
                                   for i, argv in enumerate(verifies)]
@@ -856,16 +859,17 @@ codes = [
 before = scipy_modules()
 for argv, flag, out in {runs!r}:
     codes.append(main(["--quiet", *argv, flag, out + ".json"]))
-optimize = [m for m in scipy_modules() if m.startswith("scipy.optimize")]
-print(json.dumps({{"codes": codes, "scipy": before, "optimize": optimize}}))
+cores = [m for m in scipy_modules()
+         if m.startswith(("scipy.optimize", "scipy.integrate"))]
+print(json.dumps({{"codes": codes, "scipy": before, "cores": cores}}))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["codes"] == [0, 0, 0, 2, 0, 0, 0, 0]
+    assert out["codes"] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
     assert out["scipy"] == []
-    assert out["optimize"] == []
+    assert out["cores"] == []
     for _, _, path in runs:
         with open(path + ".json", "rb") as a, open(path + "_ref.json", "rb") as b:
             got, want = a.read(), b.read()

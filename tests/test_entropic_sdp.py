@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,8 +132,32 @@ def test_brentq_refuses_nan_and_missing_core():
     # brentq; a core that scipy does not ship raises ImportError
     with pytest.raises(ValueError, match="NaN"):
         brentq(lambda x: math.nan if x > 0.25 else -1.0, 0.0, 1.0, 1e-12)
-    with pytest.raises(ImportError, match="_no_such_core"):
-        scipy_core("_no_such_core")
+    for name in ("optimize._no_such_core", "integrate._no_such_core"):
+        with pytest.raises(ImportError, match=name):
+            scipy_core(name)
+
+
+def test_scipy_core_loads_quadpack_without_scipy_integrate():
+    # QUADPACK's core loads by file and leaves scipy.integrate (and the
+    # scipy.optimize it imports) unloaded; importing scipy.integrate later
+    # still works, and its quad still integrates
+    code = """
+import json, sys
+from quadround._util import scipy_core
+value, _, ier = scipy_core("integrate._quadpack")._qagse(
+    lambda x: x, 0.0, 1.0, (), 0, 1e-10, 1e-12, 50)
+loaded = [m for m in sys.modules
+          if m.startswith(("scipy.integrate", "scipy.optimize"))]
+import scipy.integrate
+print(json.dumps([value, ier, loaded,
+                  scipy.integrate.quad(lambda x: x * x, 0.0, 3.0)[0]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    value, ier, loaded, cube = json.loads(proc.stdout)
+    assert (value, ier, loaded) == (0.5, 0, [])
+    assert cube == pytest.approx(9.0, rel=1e-14)
 
 
 def _polish_cases():

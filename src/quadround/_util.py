@@ -45,16 +45,6 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def sha256_file(path) -> str:
-    """Digest of a file's bytes, streamed rather than held in memory. Equal
-    to sha256_hex of the file's text when the file is valid UTF-8."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 _CORE_LOCK = threading.Lock()
 
 

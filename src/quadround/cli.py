@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from ._util import canonical_json, sha256_file, sha256_hex
+from ._util import canonical_json, sha256_hex
 from .config import DEFAULTS
 from .instances import random_map, random_witness
 from .linalg import LinalgError, NotPositiveDefinite
@@ -187,9 +187,9 @@ def run_round(prec: PreconditionedMap, X_hat: SpectahedronPoint,
     return outcome, payload
 
 
-def _round_instance(path: Path, args):
-    """The map and witness X of a round command's instance file."""
-    qmap, X = load_instance(str(path))
+def cmd_round(args) -> int:
+    instance_path = Path(args.instance)
+    qmap, X, instance_digest = load_instance(str(instance_path))
     if X is None:
         if not args.witness_random:
             raise InstanceFormatError(
@@ -197,21 +197,18 @@ def _round_instance(path: Path, args):
                 "--witness-random")
         # Reads the parent stream only; rounding reads only its substreams.
         X = random_witness(GaussianSampler(args.seed), qmap)
-    return qmap, X
-
-
-def cmd_round(args) -> int:
-    instance_path = Path(args.instance)
-    # No name here holds the original map: it is freed once preconditioned.
+    prepared = prepare_round(qmap, X)
+    # The original map is freed before the solve. X goes first: once the
+    # map's mmapped stack is freed, glibc raises its trim threshold and
+    # keeps the heap top that X leaves.
+    del X, qmap
     outcome, payload = run_round(
-        *prepare_round(*_round_instance(instance_path, args)),
-        seed=args.seed, budget=args.budget, tol=args.tol,
+        *prepared, seed=args.seed, budget=args.budget, tol=args.tol,
         m=args.rank_m, threads=args.threads)
 
     command = f"round {'--rank-one' if args.rank_m is None else f'--rank-m {args.rank_m}'} " \
               f"--budget {args.budget} --seed {args.seed} --tol {args.tol!r}"
-    doc = {"instance_digest": sha256_file(instance_path),
-           "command": command, **payload}
+    doc = {"instance_digest": instance_digest, "command": command, **payload}
     doc["result_digest"] = result_digest(doc)
 
     out = Path(args.out) if args.out else instance_path.with_suffix(".result.json")

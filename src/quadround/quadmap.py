@@ -20,6 +20,7 @@ entropy D(a||b) = sum_i a_i ln(a_i / b_i), natural logarithm throughout.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -465,22 +466,23 @@ _READ_CHUNK = 1 << 20
 _FAR = 1 << 62
 
 
-def _split_q(fh):
+def _split_q(fh, digest):
     """The text of a JSON file with its top-level "Q" array replaced by [],
     and that array's forms, each parsed as soon as it has been read.
 
     One forward scan over the brackets and quotes of the file, which is
-    read in _READ_CHUNK pieces into one window. A string ends at the next
-    quote not preceded by an odd run of backslashes, and the brackets
-    inside it do not count. A depth-1 string that spells Q and is followed
-    by a colon is a "Q" key. While its value is an array, each element (an
-    array or object at depth 3) is parsed by orjson and becomes a float
-    array when its closing bracket arrives. The text outside that array is
-    copied out as it is passed, with [] for the array, so the window holds
-    only the form being read and the piece after it. JSON keeps the last
-    duplicate key, so a later "Q" key drops the forms of an earlier one,
-    whose array stays in the text as [] (each of its forms has been parsed
-    as JSON).
+    read in _READ_CHUNK pieces into one window and into the hashlib object
+    ``digest``; unless it raises, the scan reads to the end of the file.
+    A string ends at the next quote not preceded by an odd run of
+    backslashes, and the brackets inside it do not count. A depth-1 string
+    that spells Q and is followed by a colon is a "Q" key. While its value
+    is an array, each element (an array or object at depth 3) is parsed by
+    orjson and becomes a float array when its closing bracket arrives. The
+    text outside that array is copied out as it is passed, with [] for the
+    array, so the window holds only the form being read and the piece
+    after it. JSON keeps the last duplicate key, so a later "Q" key drops
+    the forms of an earlier one, whose array stays in the text as [] (each
+    of its forms has been parsed as JSON).
 
     Positions are offsets in the file; the window holds its bytes from
     ``base`` to ``hi``. Returns (text, forms, bad), where bad is the
@@ -513,6 +515,7 @@ def _split_q(fh):
             v[:n] = live
             live.release()
             start, hi = hi, hi + fh.readinto(v[n:n + _READ_CHUNK])
+            digest.update(v[n:n + hi - start])
         base = keep
         for t, x in enumerate(nxt):
             if x == _FAR:
@@ -600,38 +603,46 @@ def _split_q(fh):
 
 
 def _decode(path: str):
-    """The instance document of a file, with each form of Q a float array.
+    """The instance document of a file, with each form of Q a float array,
+    and the sha256 hex digest of the bytes it was parsed from.
 
-    Q holds nearly all of an instance's bytes. _split_q reads the file in
-    pieces and parses each form on its own as soon as it has been read, so
-    neither the whole text nor more than one form's Python lists are ever
-    held; the text outside Q is parsed at the end. A text whose Q the scan
-    cannot split is read again and parsed whole: it is not a valid
-    instance, or holds a "Q" array that is not one, and orjson or
-    instance_from_json says why.
+    Q holds nearly all of an instance's bytes. _split_q reads the file once,
+    in pieces, hashes them and parses each form on its own as soon as it
+    has been read, so neither the whole text nor more than one form's
+    Python lists are ever held; the text outside Q is parsed at the end. A
+    text whose Q the scan cannot split is not a valid instance: a file is
+    read again and parsed whole, and orjson or instance_from_json says
+    why; a pipe, which cannot be read again, is refused as it stands.
     """
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        split = _split_q(fh)
+        split = _split_q(fh, digest)
         if split is None:
+            if not fh.seekable():
+                raise InstanceFormatError(
+                    "invalid instance: the text is not JSON, or its Q is "
+                    "not an array of matrices")
             fh.seek(0)
-            return orjson.loads(fh.read())
+            text = fh.read()
+            return orjson.loads(text), hashlib.sha256(text).hexdigest()
     text, forms, bad = split
     doc = orjson.loads(text)
     if bad is not None:
         raise bad
     doc["Q"] = forms
-    return doc
+    return doc, digest.hexdigest()
 
 
 def load_instance(path: str):
-    """Read an instance file; returns (map, X or None) as instance_from_json.
+    """Read an instance file; returns (map, X or None) as instance_from_json
+    and the sha256 hex digest of the bytes that were parsed.
 
-    The file is read in pieces and parsed by orjson one form at a time
-    (see _decode), so its whole text is never held. orjson rejects NaN and
-    Infinity literals and lone surrogates as invalid JSON.
+    The file, or a pipe, is read once, in pieces, and parsed by orjson one
+    form at a time (see _decode), so its whole text is never held. orjson
+    rejects NaN and Infinity literals and lone surrogates as invalid JSON.
     """
     try:
-        doc = _decode(path)
+        doc, digest = _decode(path)
     except orjson.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    return instance_from_json(doc)
+    return *instance_from_json(doc), digest

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import map_indexed, scipy_core
-from .bounds import (BoundReport, constants_report, laplace_tail_upper, phi,
-                     rank_m_abs_log)
+from .bounds import (BETA_RANK_ONE, BoundReport, constants_report,
+                     laplace_tail_upper, phi, rank_m_abs_log)
 from .entropic_sdp import solve
 from .instances import random_map
 from .quadmap import QuadraticMap, SimplexVector
@@ -236,7 +236,7 @@ def check_sandwich(qmap: QuadraticMap, alpha: SimplexVector,
         fw_gap=sol.fw_gap,
         excess=sol.value - s,
         lower_ok=s <= sol.value + sol.fw_gap + 1e-6,
-        upper_ok=sol.value <= s + 4.8 + sol.fw_gap,
+        upper_ok=sol.value <= s + BETA_RANK_ONE + sol.fw_gap,
     )
 
 
@@ -433,7 +433,7 @@ def suite_sandwich(seed: int):
         rep = check_sandwich(qmap, alpha, sampler)
         max_excess = max(max_excess, rep.excess)
         rows.append(BoundReport(
-            f"sandwich[{j:03d}, n={n}, k={k}]", rep.excess, 4.8,
+            f"sandwich[{j:03d}, n={n}, k={k}]", rep.excess, BETA_RANK_ONE,
             rep.lower_ok and rep.upper_ok, "<="))
     return rows, {"max_excess": max_excess}
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ def test_gen_roundtrip_and_determinism(tmp_path):
     assert run_cli("--quiet", "gen", "--n", "4", "--k", "3", "--seed", "7",
                    "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    qmap, wit = load_instance(str(out1))    # PD-validated on reload
+    qmap, wit, _ = load_instance(str(out1))    # PD-validated on reload
     assert qmap.n == 4 and qmap.k == 3
     assert wit is None
     # different seed, different instance
@@ -52,7 +54,7 @@ def test_gen_condition_cap_one(tmp_path):
     out = tmp_path / "iso.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "5",
             "--condition-cap", "1", "--out", str(out))
-    qmap, _ = load_instance(str(out))
+    qmap, _, _ = load_instance(str(out))
     for i in range(qmap.k):
         Q = qmap.Q[i]
         assert np.allclose(Q, Q[0, 0] * np.eye(3), atol=1e-12)
@@ -62,7 +64,7 @@ def test_gen_with_witness(tmp_path):
     out = tmp_path / "w.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "9",
             "--witness-random", "--out", str(out))
-    qmap, X = load_instance(str(out))
+    qmap, X, _ = load_instance(str(out))
     assert X is not None
     total = float(np.einsum("kij,ij->", qmap.Q, X))
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -206,7 +208,7 @@ def test_round_rank_m_and_report(tmp_path):
     assert len(doc16["points"]) == 16
 
     # certificate points evaluate back to b on the original map
-    qmap, _ = load_instance(str(inst))
+    qmap, _, _ = load_instance(str(inst))
     pts = np.asarray(doc16["points"])
     vals = np.einsum("kij,mi,mj->k", qmap.Q, pts, pts) / 16
     assert np.allclose(vals, doc16["b"], atol=1e-8)
@@ -339,15 +341,80 @@ def test_round_unreachable_tol_stops_unconverged(tmp_path):
     assert doc["kl"] <= doc["bound"] + doc["fw_gap"]
 
 
-def test_round_instance_digest_is_file_sha256(tmp_path):
+@pytest.mark.parametrize("source", ["file", "pipe", "rewritten"])
+def test_round_instance_digest_is_file_sha256(tmp_path, monkeypatch, source):
+    # the digest is of the bytes that were parsed: also when they come from
+    # a pipe, which can be read once, and when the file is rewritten with
+    # another instance before the rounding
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "17",
             "--witness-random", "--out", str(inst))
+    data = inst.read_bytes()
+    path = str(inst)
+    if source == "pipe":
+        fd, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        path = f"/dev/fd/{fd}"
+    elif source == "rewritten":
+        run_round = cli_mod.run_round
+
+        def rewrite_then_round(*args, **kwargs):
+            run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "18",
+                    "--witness-random", "--out", str(inst))
+            return run_round(*args, **kwargs)
+        monkeypatch.setattr(cli_mod, "run_round", rewrite_then_round)
     res = tmp_path / "res.json"
-    run_cli("--quiet", "round", str(inst), "--rank-one", "--budget", "10",
-            "--seed", "1", "--out", str(res))
+    try:
+        run_cli("--quiet", "round", path, "--rank-one", "--budget", "10",
+                "--seed", "1", "--out", str(res))
+    finally:
+        if source == "pipe":
+            os.close(fd)
     doc = json.loads(res.read_text())
-    assert doc["instance_digest"] == hashlib.sha256(inst.read_bytes()).hexdigest()
+    assert doc["instance_digest"] == hashlib.sha256(data).hexdigest()
+    assert (inst.read_bytes() != data) == (source == "rewritten")
+
+
+def test_round_frees_the_original_map_before_the_solve(tmp_path, monkeypatch):
+    # round keeps no name for the loaded map once it is preconditioned, so
+    # the original forms are freed before the solve
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "6", "--k", "3", "--seed", "5",
+            "--witness-random", "--out", str(inst))
+    load, run_round = cli_mod.load_instance, cli_mod.run_round
+    forms, alive = [], []
+
+    def loading(path):
+        qmap, X, digest = load(path)
+        forms.append(weakref.ref(qmap.Q))
+        return qmap, X, digest
+
+    def rounding(*args, **kwargs):
+        gc.collect()
+        alive.append(forms[0]() is not None)
+        return run_round(*args, **kwargs)
+    monkeypatch.setattr(cli_mod, "load_instance", loading)
+    monkeypatch.setattr(cli_mod, "run_round", rounding)
+    assert run_cli("--quiet", "round", str(inst), "--rank-one", "--seed", "1",
+                   "--out", str(tmp_path / "res.json")) == 0
+    assert alive == [False]
+
+
+def test_round_invalid_instance_from_a_pipe_exits2(tmp_path, capsys):
+    # a pipe cannot be read again for the whole-text parse: the error still
+    # says what is wrong with the document
+    fd, w = os.pipe()
+    os.write(w, b'{"n": 1, "k": 1, "Q": 5}')
+    os.close(w)
+    try:
+        assert run_cli("--quiet", "round", f"/dev/fd/{fd}", "--rank-one",
+                       "--seed", "1", "--out", str(tmp_path / "res.json")) == 2
+    finally:
+        os.close(fd)
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid instance:"), err
+    assert "not an array of matrices" in err and "seek" not in err
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -376,21 +377,24 @@ def test_instance_json_roundtrip():
 
 
 def _reference_load(path):
-    """The stdlib loader: json.loads of the text, then instance_from_json."""
+    """The stdlib loader: json.loads of the text, then instance_from_json,
+    and the sha256 of the file's bytes."""
+    data = path.read_bytes()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    return instance_from_json(doc)
+    return *instance_from_json(doc), hashlib.sha256(data).hexdigest()
 
 
 def _outcome(load, path):
-    """The bytes of the loaded Q and X, or the class of the exception."""
+    """The bytes of the loaded Q and X and the digest, or the class of the
+    exception."""
     try:
-        qmap, X = load(path)
+        qmap, X, digest = load(path)
     except Exception as exc:
         return type(exc)
-    return qmap.Q.tobytes(), None if X is None else X.tobytes()
+    return qmap.Q.tobytes(), None if X is None else X.tobytes(), digest
 
 
 def _loader_documents(tmp_path):
@@ -452,7 +456,7 @@ def _check_loader_documents(tmp_path):
             # the valid documents take the per-form path, not the whole-text
             # parse
             with path.open("rb") as fh:
-                assert _split_q(fh) is not None, text
+                assert _split_q(fh, hashlib.sha256()) is not None, text
 
 
 def test_loader_matches_stdlib_json(tmp_path):
@@ -470,7 +474,7 @@ def test_loader_reads_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
     # the file is read in pieces of _READ_CHUNK bytes; with pieces this
     # small every bracket, quote, backslash run, "Q" key and its colon
     # straddles a boundary somewhere, and every document still loads as
-    # stdlib json reads it
+    # stdlib json reads it, with the digest of all of its bytes
     monkeypatch.setattr(quadmap_mod, "_READ_CHUNK", chunk)
     _check_loader_documents(tmp_path)
 
@@ -487,7 +491,7 @@ def test_loader_peak_memory_below_file_size(tmp_path):
     load_instance(str(inst))    # untraced: one-time set-up such as orjson's
     tracemalloc.start()
     try:
-        qmap, X = load_instance(str(inst))
+        qmap, X, _ = load_instance(str(inst))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -528,7 +532,7 @@ def test_loader_differences_from_stdlib_json(tmp_path):
     path.write_text('{"n": 1, "k": 1, "Q": [[[%d]]]}' % 2 ** 70)
     with pytest.raises(InstanceFormatError, match="numbers only"):
         _reference_load(path)
-    qmap, _ = load_instance(str(path))
+    qmap, _, _ = load_instance(str(path))
     assert qmap.Q[0, 0, 0] == 1.1805916207174113e+21 == float(2 ** 70)
     # a lone surrogate in a string that the loader does not read
     path.write_text('{"n": 1, "k": 1, "Q": [[[1.0]]], "note": "\\ud800"}')

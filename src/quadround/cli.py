@@ -27,6 +27,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -187,8 +189,24 @@ def run_round(prec: PreconditionedMap, X_hat: SpectahedronPoint,
     return outcome, payload
 
 
+def _result_path(args) -> Path:
+    """Where round writes its result, checked before the instance is read:
+    --out, or else the instance path with the suffix .result.json, which
+    only a regular file gives. Its folder must exist and be writable."""
+    instance_path = Path(args.instance)
+    if not args.out and not stat.S_ISREG(instance_path.stat().st_mode):
+        raise OSError(f"{instance_path} is not a regular file; give the "
+                      "result path with --out")
+    out = Path(args.out or instance_path.with_suffix(".result.json"))
+    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {out}: {out.parent} is not a writable "
+                      "folder")
+    return out
+
+
 def cmd_round(args) -> int:
     instance_path = Path(args.instance)
+    out = _result_path(args)
     qmap, X, instance_digest = load_instance(str(instance_path))
     if X is None:
         if not args.witness_random:
@@ -211,7 +229,6 @@ def cmd_round(args) -> int:
     doc = {"instance_digest": instance_digest, "command": command, **payload}
     doc["result_digest"] = result_digest(doc)
 
-    out = Path(args.out) if args.out else instance_path.with_suffix(".result.json")
     out.write_text(_dump_json(doc), encoding="utf-8")
 
     if not args.quiet:
@@ -420,7 +437,7 @@ def main(argv=None) -> int:
                        else DEFAULTS.rank_m_budget)
     try:
         return args.fn(args)
-    except (InstanceFormatError, json.JSONDecodeError, OSError) as exc:
+    except (InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NotPositiveDefinite as exc:

@@ -464,6 +464,9 @@ _MAX_DEPTH = 1024
 _READ_CHUNK = 1 << 20
 # The position _split_q gives a token that the text read so far lacks.
 _FAR = 1 << 62
+# The error of a "Q" array whose elements are not arrays or objects
+# separated by single commas.
+_NOT_FORMS = "invalid instance: Q is not a JSON array of matrices"
 
 
 def _split_q(fh, digest):
@@ -481,16 +484,16 @@ def _split_q(fh, digest):
     text outside that array is copied out as it is passed, with [] for the
     array, so the window holds only the form being read and the piece
     after it. JSON keeps the last duplicate key, so a later "Q" key drops
-    the forms of an earlier one, whose array stays in the text as [] (each
-    of its forms has been parsed as JSON).
+    the forms of an earlier one, whose array stays in the text as [].
 
     Positions are offsets in the file; the window holds its bytes from
-    ``base`` to ``hi``. Returns (text, forms, bad), where bad is the
-    InstanceFormatError of the first form of the last Q that is not a
-    numeric array, or None. Returns None unless the last "Q" value is an
-    array of arrays or objects separated by single commas and whitespace.
-    Raises InstanceFormatError when the text nests deeper than _MAX_DEPTH,
-    and orjson.JSONDecodeError for a form that is not JSON.
+    ``base`` to ``hi``. Returns (text, forms), with forms None when the
+    last "Q" value is not an array or there is no "Q" key: the text then
+    holds that value as it stands, and parsing it says what is wrong.
+    Raises InstanceFormatError when the text ends inside a string or a "Q"
+    array or nests deeper than _MAX_DEPTH, and when a "Q" array, even one
+    that a later "Q" key drops, is not an array of numeric arrays separated
+    by single commas; orjson.JSONDecodeError for a form that is not JSON.
     """
     work, rest = bytearray(_READ_CHUNK), bytearray()
     base = hi = out = 0     # rest holds the text before out (None in Q)
@@ -522,7 +525,7 @@ def _split_q(fh, digest):
                 nxt[t] = find(_TOKENS[t], start)
         return hi > start
 
-    depth, key, forms, q, ok = 0, None, None, None, True
+    depth, key, forms, q = 0, None, None, None
     while True:
         p = min(nxt)
         if p == _FAR:
@@ -543,9 +546,9 @@ def _split_q(fh, digest):
             key = None
             if m is not None:
                 q = None
-                if t == 0 and m.end() + base == p and ok:
+                if t == 0 and m.end() + base == p:
                     rest += work[out - base:p - base] + b"[]"
-                    g, forms, i, bad, out = p + 1, [], 0, None, None
+                    g, forms, i, out = p + 1, [], 0, None
         if t < 2:
             depth += 1
             if depth > _MAX_DEPTH:
@@ -554,25 +557,19 @@ def _split_q(fh, digest):
             if depth == 3 and forms is not None:
                 glue = _COMMA if i else _BLANK
                 if glue.fullmatch(work, g - base, p - base) is None:
-                    ok, forms = False, None
+                    raise InstanceFormatError(_NOT_FORMS)
                 a = p
         elif t < 4:
             depth -= 1
             if forms is not None and depth == 2:
                 with memoryview(work) as v:
                     form = orjson.loads(v[a - base:p + 1 - base])
-                if bad is None:
-                    try:
-                        forms.append(_parse_array(form, f"Q[{i}]"))
-                    except InstanceFormatError as exc:
-                        bad = exc
+                forms.append(_parse_array(form, f"Q[{i}]"))
                 form, g, i = None, p + 1, i + 1
             elif forms is not None and depth == 1:
-                if t == 2 and _BLANK.fullmatch(work, g - base, p - base):
-                    q, out = (forms, bad), p + 1
-                else:
-                    ok = False
-                forms = None
+                if t == 3 or not _BLANK.fullmatch(work, g - base, p - base):
+                    raise InstanceFormatError(_NOT_FORMS)
+                q, forms, out = forms, None, p + 1
         else:
             e = p
             while True:
@@ -581,7 +578,8 @@ def _split_q(fh, digest):
                     e = hi - 1
                     keep = p if forms is None else a if depth > 2 else g
                     if not read(keep):
-                        return None
+                        raise InstanceFormatError(
+                            "invalid JSON: the text ends inside a string")
                     continue
                 j = e - 1
                 while work[j - base] == 0x5C:
@@ -596,53 +594,32 @@ def _split_q(fh, digest):
                 key = e
             nxt[:] = [x if x > e else find(tok, e + 1)
                       for x, tok in zip(nxt, _TOKENS)]
-    if q is None or key is not None or not ok:
-        return None
+    if forms is not None:
+        raise InstanceFormatError("invalid JSON: the text ends inside Q")
     rest += work[out - base:hi - base]
-    return rest, *q
-
-
-def _decode(path: str):
-    """The instance document of a file, with each form of Q a float array,
-    and the sha256 hex digest of the bytes it was parsed from.
-
-    Q holds nearly all of an instance's bytes. _split_q reads the file once,
-    in pieces, hashes them and parses each form on its own as soon as it
-    has been read, so neither the whole text nor more than one form's
-    Python lists are ever held; the text outside Q is parsed at the end. A
-    text whose Q the scan cannot split is not a valid instance: a file is
-    read again and parsed whole, and orjson or instance_from_json says
-    why; a pipe, which cannot be read again, is refused as it stands.
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        split = _split_q(fh, digest)
-        if split is None:
-            if not fh.seekable():
-                raise InstanceFormatError(
-                    "invalid instance: the text is not JSON, or its Q is "
-                    "not an array of matrices")
-            fh.seek(0)
-            text = fh.read()
-            return orjson.loads(text), hashlib.sha256(text).hexdigest()
-    text, forms, bad = split
-    doc = orjson.loads(text)
-    if bad is not None:
-        raise bad
-    doc["Q"] = forms
-    return doc, digest.hexdigest()
+    return rest, q
 
 
 def load_instance(path: str):
     """Read an instance file; returns (map, X or None) as instance_from_json
     and the sha256 hex digest of the bytes that were parsed.
 
-    The file, or a pipe, is read once, in pieces, and parsed by orjson one
-    form at a time (see _decode), so its whole text is never held. orjson
-    rejects NaN and Infinity literals and lone surrogates as invalid JSON.
+    Q holds nearly all of an instance's bytes. The file, or a pipe, is read
+    once, in pieces, which are hashed as they arrive; _split_q parses each
+    form of Q on its own as soon as it has been read, so neither the whole
+    text nor more than one form's Python lists are ever held. The text
+    outside Q is parsed at the end. orjson rejects NaN and Infinity
+    literals and lone surrogates as invalid JSON.
     """
+    digest = hashlib.sha256()
     try:
-        doc, digest = _decode(path)
+        with open(path, "rb") as fh:
+            text, forms = _split_q(fh, digest)
+        doc = orjson.loads(text)
     except orjson.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    return *instance_from_json(doc), digest
+    # The text outside Q, mostly the witness, is freed before the map is built.
+    del text
+    if forms is not None:
+        doc["Q"] = forms
+    return *instance_from_json(doc), digest.hexdigest()

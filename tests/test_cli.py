@@ -401,20 +401,62 @@ def test_round_frees_the_original_map_before_the_solve(tmp_path, monkeypatch):
     assert alive == [False]
 
 
-def test_round_invalid_instance_from_a_pipe_exits2(tmp_path, capsys):
-    # a pipe cannot be read again for the whole-text parse: the error still
-    # says what is wrong with the document
+@pytest.mark.parametrize("text, msg", [
+    ('{"n": 1, "k": 1, "Q": 5}', "expected 1 matrices in Q"),
+    ('{"n": 1, "k": 1}', "missing field: 'Q'"),
+    ('{"n": 1, "k": 1, "Q": [1, 2]}', "not a JSON array of matrices"),
+    ('{"n": 1, "k": 1, "Q": [[[1', "ends inside Q"),
+    ('{"n": 1, "k": 1, "Q": [[[1]]], "note": "abc}', "ends inside a string"),
+    ('{"n": 1, "k": 1, "Q": [[[1]]], x}', "invalid JSON"),
+], ids=["q-number", "no-q", "q-numbers", "cut-in-q", "open-string",
+        "bad-json"])
+def test_round_invalid_instance_same_error_from_file_and_pipe(tmp_path, capsys,
+                                                              text, msg):
+    # the loader reads a file as it reads a pipe, once and in one pass, so an
+    # invalid document gets the same error line from either
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
     fd, w = os.pipe()
-    os.write(w, b'{"n": 1, "k": 1, "Q": 5}')
+    os.write(w, text.encode())
     os.close(w)
+    errs = []
     try:
-        assert run_cli("--quiet", "round", f"/dev/fd/{fd}", "--rank-one",
-                       "--seed", "1", "--out", str(tmp_path / "res.json")) == 2
+        for path in (str(bad), f"/dev/fd/{fd}"):
+            assert run_cli("--quiet", "round", path, "--rank-one", "--seed",
+                           "1", "--out", str(tmp_path / "res.json")) == 2
+            errs.append(capsys.readouterr().err)
     finally:
         os.close(fd)
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid instance:"), err
-    assert "not an array of matrices" in err and "seek" not in err
+    assert errs[0] == errs[1], errs
+    assert errs[0].startswith("error:") and msg in errs[0], errs[0]
+    assert errs[0].count("\n") == 1 and "seek" not in errs[0]
+
+
+def test_round_checks_its_result_path_before_loading(tmp_path, monkeypatch,
+                                                     capsys):
+    # round resolves where its result goes before it reads the instance: a
+    # pipe with no --out, and an --out in a missing folder or under a file,
+    # each exit 2 with an error line, and the instance is never loaded
+    inst = tmp_path / "inst.json"
+    run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "17",
+            "--witness-random", "--out", str(inst))
+    monkeypatch.setattr(cli_mod, "load_instance",
+                        lambda path: pytest.fail(f"loaded {path}"))
+    fd, w = os.pipe()
+    os.write(w, inst.read_bytes())
+    os.close(w)
+    try:
+        for argv, msg in (([f"/dev/fd/{fd}"], "not a regular file"),
+                          ([str(inst), "--out", str(tmp_path / "no" / "r.json")],
+                           "not a writable folder"),
+                          ([str(inst), "--out", str(inst / "r.json")],
+                           "not a writable folder")):
+            assert run_cli("--quiet", "round", *argv, "--rank-one",
+                           "--seed", "1") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and msg in err, err
+    finally:
+        os.close(fd)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -438,6 +439,10 @@ def _loader_documents(tmp_path):
         '{"n": 1, "k": 1, "Q": [[[1]]], "bad": "\\x"}',
         '{"n": 1, "k": 1, "Q": [[[1]]], "Q": 5}',
         '{"n": 1, "k": 1, "Q": [[[1]]], "Q": {"a": [[[1]]]}}',
+        '{"n": 1, "k": 1}',
+        '{"n": 1, "k": 1, "Q": [[["a"]]]}',
+        '{"n": 1, "k": 2, "Q": [[[1]], [[2',
+        '{"n": 1, "k": 2, "Q": [[[1]], ',
         compact + " x",
         compact + " {}",
     ]
@@ -453,10 +458,9 @@ def _check_loader_documents(tmp_path):
         assert got == _outcome(_reference_load, path), text
         assert isinstance(got, tuple) == (text in valid), text
         if text in valid:
-            # the valid documents take the per-form path, not the whole-text
-            # parse
+            # the forms of every valid document are parsed one at a time
             with path.open("rb") as fh:
-                assert _split_q(fh, hashlib.sha256()) is not None, text
+                assert _split_q(fh, hashlib.sha256())[1] is not None, text
 
 
 def test_loader_matches_stdlib_json(tmp_path):
@@ -477,6 +481,38 @@ def test_loader_reads_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
     # stdlib json reads it, with the digest of all of its bytes
     monkeypatch.setattr(quadmap_mod, "_READ_CHUNK", chunk)
     _check_loader_documents(tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 7])
+def test_loader_reads_an_instance_once(tmp_path, monkeypatch, chunk):
+    # every byte of the file is read once, also when the document is not an
+    # instance and parsing its text says why
+    monkeypatch.setattr(quadmap_mod, "_READ_CHUNK", chunk)
+    counts = []
+
+    class Counting(io.BufferedReader):
+        def readinto(self, b):
+            counts.append(super().readinto(b))
+            return counts[-1]
+
+        def read(self, size=-1):
+            data = super().read(size)
+            counts.append(len(data))
+            return data
+
+    monkeypatch.setattr(quadmap_mod, "open",
+                        lambda path, mode: Counting(io.FileIO(path, mode)),
+                        raising=False)
+    inst = tmp_path / "inst.json"
+    assert cli_main(["--quiet", "gen", "--n", "5", "--k", "3", "--seed", "4",
+                     "--witness-random", "--out", str(inst)]) == 0
+    assert load_instance(str(inst))[0].k == 3
+    assert sum(counts) == inst.stat().st_size
+    counts.clear()
+    inst.write_text('{"n": 1, "k": 1, "Q": 5}')
+    with pytest.raises(InstanceFormatError, match="expected 1 matrices in Q"):
+        load_instance(str(inst))
+    assert sum(counts) == inst.stat().st_size
 
 
 def test_loader_peak_memory_below_file_size(tmp_path):
@@ -518,7 +554,8 @@ def test_quadratic_map_writes_one_stack_and_not_its_input():
 
 
 def test_loader_differences_from_stdlib_json(tmp_path):
-    # the three documents that load_instance reads otherwise than stdlib json
+    # the four kinds of document that load_instance reads otherwise than
+    # stdlib json
     path = tmp_path / "inst.json"
     # NaN and Infinity literals: still rejected, now as invalid JSON
     for lit in ("NaN", "Infinity", "-Infinity"):
@@ -539,6 +576,14 @@ def test_loader_differences_from_stdlib_json(tmp_path):
     assert _reference_load(path)[0].k == 1
     with pytest.raises(InstanceFormatError, match="invalid JSON"):
         load_instance(str(path))
+    # an earlier duplicate "Q" that is not an array of numeric matrices:
+    # stdlib json keeps only the last "Q", the loader refuses the document
+    for text, msg in (('{"Q":[1,2],"Q":[[[1]]],"n":1,"k":1}', "array of matrices"),
+                      ('{"Q":[[["a"]]],"Q":[[[1]]],"n":1,"k":1}', "numbers only")):
+        path.write_text(text)
+        assert _reference_load(path)[0].k == 1
+        with pytest.raises(InstanceFormatError, match=msg):
+            load_instance(str(path))
 
 
 def test_points_witness_loads_as_matrix():

@@ -18,6 +18,13 @@ subcommand.
 Seeds are mandatory; there is no wall-clock default. Re-running a command
 with identical inputs and seed reproduces the output file byte for byte
 except for the timings field, which is excluded from the result digest.
+
+Every output file (gen --out, round's result, verify --json, report --out)
+is checked before the work: a folder, or a path whose folder is missing or
+not writable, exits 2 at once. The file is written whole, through a
+temporary file beside it and os.replace, so it holds either its old bytes or
+all of the new ones. An existing device or FIFO, such as /dev/stdout, is
+written in place.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import math
 import os
 import stat
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -114,15 +122,61 @@ def result_digest(doc: dict) -> str:
     return sha256_hex(canonical_json(trimmed))
 
 
+def _check_output(path):
+    """Refuse, as OSError, an output path that is a folder or whose folder
+    is missing or not writable; each command calls this before its work.
+    Returns the regular file to replace, symlinks resolved, with its
+    permission bits or a new file's, or None for an existing device or FIFO,
+    which is written in place."""
+    try:
+        mode = os.stat(path).st_mode
+    except (FileNotFoundError, NotADirectoryError):
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(f"cannot write {path}: it is a folder")
+    if not stat.S_ISREG(mode):
+        return None
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: {folder} is not a writable "
+                      "folder")
+    return target, stat.S_IMODE(mode)
+
+
+def _write_output(path, text: str) -> None:
+    """Write text to path whole: into a temporary file beside the target,
+    then os.replace, so the target keeps its old bytes or holds all of text,
+    and no temporary file remains. A symlink keeps its link."""
+    found = _check_output(path)
+    if found is None:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        return
+    target, mode = found
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            os.fchmod(fd, mode)
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_gen(args) -> int:
+    out = Path(args.out)
+    _check_output(out)
     sampler = GaussianSampler(args.seed)
     qmap = random_map(sampler, args.n, args.k, args.condition_cap)
     witness = None
     if args.witness_random:
         witness = random_witness(sampler.substream(args.k), qmap)
     doc = instance_to_json(qmap, witness=witness)
-    out = Path(args.out)
-    out.write_text(_dump_json(doc), encoding="utf-8")
+    _write_output(out, _dump_json(doc))
     if not args.quiet:
         print(f"wrote instance n={args.n} k={args.k} "
               f"witness={'X' if witness is not None else 'none'} -> {out}")
@@ -189,24 +243,15 @@ def run_round(prec: PreconditionedMap, X_hat: SpectahedronPoint,
     return outcome, payload
 
 
-def _result_path(args) -> Path:
-    """Where round writes its result, checked before the instance is read:
-    --out, or else the instance path with the suffix .result.json, which
-    only a regular file gives. Its folder must exist and be writable."""
+def cmd_round(args) -> int:
+    # The result goes to --out, or else beside the instance with the suffix
+    # .result.json, which only a regular file gives.
     instance_path = Path(args.instance)
     if not args.out and not stat.S_ISREG(instance_path.stat().st_mode):
         raise OSError(f"{instance_path} is not a regular file; give the "
                       "result path with --out")
     out = Path(args.out or instance_path.with_suffix(".result.json"))
-    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK | os.X_OK)):
-        raise OSError(f"cannot write {out}: {out.parent} is not a writable "
-                      "folder")
-    return out
-
-
-def cmd_round(args) -> int:
-    instance_path = Path(args.instance)
-    out = _result_path(args)
+    _check_output(out)
     qmap, X, instance_digest = load_instance(str(instance_path))
     if X is None:
         if not args.witness_random:
@@ -229,7 +274,7 @@ def cmd_round(args) -> int:
     doc = {"instance_digest": instance_digest, "command": command, **payload}
     doc["result_digest"] = result_digest(doc)
 
-    out.write_text(_dump_json(doc), encoding="utf-8")
+    _write_output(out, _dump_json(doc))
 
     if not args.quiet:
         kind = "rank-one" if args.rank_m is None else f"rank-m (m={args.rank_m})"
@@ -247,6 +292,8 @@ def cmd_round(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.json:
+        _check_output(args.json)
     suite_fn = SUITES[args.suite]
     if args.suite == "constants":
         rows, extras = suite_fn()
@@ -277,7 +324,7 @@ def cmd_verify(args) -> int:
                       "satisfied": r.satisfied} for r in rows],
             "extras": extras,
         }
-        Path(args.json).write_text(_dump_json(doc), encoding="utf-8")
+        _write_output(args.json, _dump_json(doc))
     return EXIT_OK if passed else EXIT_BOUND_VIOLATED
 
 
@@ -300,14 +347,15 @@ def _report_rows(paths, accepted_only: bool):
                 "accepted": doc["accepted"],
                 "_sort": (doc.get("m") or 0, doc["instance_digest"]),
             })
-        except (OSError, KeyError, TypeError, ValueError,
-                json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InstanceFormatError(f"malformed result file {path}: {exc}")
     rows.sort(key=lambda r: r["_sort"])
     return rows
 
 
 def cmd_report(args) -> int:
+    if args.out:
+        _check_output(args.out)
     rows = _report_rows(args.results, args.accepted_only)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -316,7 +364,7 @@ def cmd_report(args) -> int:
         writer.writerow([r[c] for c in REPORT_COLUMNS])
     text = buf.getvalue()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_output(args.out, text)
         if not args.quiet:
             print(f"wrote {len(rows)} rows -> {args.out}")
     else:

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 
@@ -432,31 +434,156 @@ def test_round_invalid_instance_same_error_from_file_and_pipe(tmp_path, capsys,
     assert errs[0].count("\n") == 1 and "seek" not in errs[0]
 
 
-def test_round_checks_its_result_path_before_loading(tmp_path, monkeypatch,
-                                                     capsys):
-    # round resolves where its result goes before it reads the instance: a
-    # pipe with no --out, and an --out in a missing folder or under a file,
-    # each exit 2 with an error line, and the instance is never loaded
+def _never(what):
+    def entered(*args, **kwargs):
+        pytest.fail(f"entered {what}")
+    return entered
+
+
+@pytest.mark.parametrize("command", ["round", "gen", "verify", "report"])
+def test_output_path_checked_before_the_work(tmp_path, monkeypatch, capsys,
+                                             command):
+    # every command checks where it writes before its work: an output in a
+    # missing folder, under a file, or that is a folder exits 2 with one
+    # error line and prints nothing, and the work is never entered
+    inst = tmp_path / "inst.json"
+    res = tmp_path / "res.json"
+    run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "17",
+            "--witness-random", "--out", str(inst))
+    run_cli("--quiet", "round", str(inst), "--rank-one", "--budget", "20",
+            "--seed", "1", "--out", str(res))
+    monkeypatch.setattr(cli_mod, "load_instance", _never("load_instance"))
+    monkeypatch.setattr(cli_mod, "random_map", _never("random_map"))
+    monkeypatch.setitem(cli_mod.SUITES, "constants", _never("the suite"))
+    monkeypatch.setattr(cli_mod, "_report_rows", _never("_report_rows"))
+    argv = {"round": ["round", str(inst), "--rank-one", "--seed", "1",
+                      "--out"],
+            "gen": ["gen", "--n", "3", "--k", "2", "--seed", "1", "--out"],
+            "verify": ["verify", "--suite", "constants", "--seed", "1",
+                       "--json"],
+            "report": ["report", str(res), "--out"]}[command]
+    cases = [(argv + [str(tmp_path / "no" / "x.json")],
+              "is not a writable folder"),
+             (argv + [str(inst / "x.json")], "is not a writable folder"),
+             (argv + [str(tmp_path)], "is a folder")]
+    fd = None
+    if command == "round":
+        # with no --out the result goes beside the instance: a pipe has no
+        # such path, and a folder at that path is refused like --out's
+        fd, w = os.pipe()
+        os.write(w, inst.read_bytes())
+        os.close(w)
+        inst.with_suffix(".result.json").mkdir()
+        cases += [(argv[:-1], "is a folder"),
+                  (["round", f"/dev/fd/{fd}", "--rank-one", "--seed", "1"],
+                   "not a regular file")]
+    try:
+        for args, msg in cases:
+            assert run_cli(*args) == 2, args
+            out, err = capsys.readouterr()
+            assert out == "", out
+            assert err.startswith("error:") and msg in err, err
+            assert err.count("\n") == 1, err
+    finally:
+        if fd is not None:
+            os.close(fd)
+
+
+@pytest.mark.parametrize("step, exc", [("replace", OSError("no replace")),
+                                       ("fchmod", KeyboardInterrupt())],
+                         ids=["replace", "interrupt"])
+def test_output_written_whole_or_not_at_all(tmp_path, monkeypatch, step, exc):
+    # a write that fails before os.replace lands creates no new target,
+    # leaves an existing one as it was, and leaves no temporary file
+    old = tmp_path / "old.json"
+    old.write_text("old bytes\n")
+
+    def fail(*args):
+        raise exc
+    monkeypatch.setattr(cli_mod.os, step, fail)
+    for out in (tmp_path / "new.json", old):
+        argv = ("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "1",
+                "--out", str(out))
+        if isinstance(exc, OSError):
+            assert run_cli(*argv) == 2
+        else:
+            with pytest.raises(type(exc)):
+                run_cli(*argv)
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert old.read_text() == "old bytes\n"
+
+
+def test_outputs_leave_only_the_target(tmp_path):
+    # each command's folder holds its file and nothing else; a new file gets
+    # the permission bits that open() gives, a rewritten one keeps its own
+    dirs = {name: tmp_path / name for name in ("gen", "round", "verify",
+                                               "report")}
+    for d in dirs.values():
+        d.mkdir()
+    inst, res = dirs["gen"] / "inst.json", dirs["round"] / "r.json"
+    assert run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "5",
+                   "--witness-random", "--out", str(inst)) == 0
+    assert run_cli("--quiet", "round", str(inst), "--rank-one", "--budget",
+                   "20", "--seed", "1", "--out", str(res)) == 0
+    assert run_cli("--quiet", "verify", "--suite", "constants", "--seed", "1",
+                   "--json", str(dirs["verify"] / "v.json")) == 0
+    assert run_cli("--quiet", "report", str(res), "--out",
+                   str(dirs["report"] / "rep.csv")) == 0
+    names = {name: [p.name for p in d.iterdir()] for name, d in dirs.items()}
+    assert names == {"gen": ["inst.json"], "round": ["r.json"],
+                     "verify": ["v.json"], "report": ["rep.csv"]}
+    ref = tmp_path / "ref"
+    ref.write_text("")
+    assert stat.S_IMODE(inst.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+    first = inst.read_bytes()
+    inst.chmod(0o600)
+    assert run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "5",
+                   "--witness-random", "--out", str(inst)) == 0
+    assert stat.S_IMODE(inst.stat().st_mode) == 0o600
+    assert inst.read_bytes() == first
+
+
+def test_verify_json_to_a_fifo_writes_in_place(tmp_path):
+    # an existing FIFO is written in place, as /dev/stdout is, not replaced
+    js = tmp_path / "rows.json"
+    assert run_cli("--quiet", "verify", "--suite", "constants", "--seed", "1",
+                   "--json", str(js)) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        assert run_cli("--quiet", "verify", "--suite", "constants", "--seed",
+                       "1", "--json", str(fifo)) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [js.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "rows.json"]
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path):
+    # a symlinked --out keeps its link; the file it points to is replaced,
+    # or created when the link dangles
     inst = tmp_path / "inst.json"
     run_cli("--quiet", "gen", "--n", "3", "--k", "2", "--seed", "17",
             "--witness-random", "--out", str(inst))
-    monkeypatch.setattr(cli_mod, "load_instance",
-                        lambda path: pytest.fail(f"loaded {path}"))
-    fd, w = os.pipe()
-    os.write(w, inst.read_bytes())
-    os.close(w)
-    try:
-        for argv, msg in (([f"/dev/fd/{fd}"], "not a regular file"),
-                          ([str(inst), "--out", str(tmp_path / "no" / "r.json")],
-                           "not a writable folder"),
-                          ([str(inst), "--out", str(inst / "r.json")],
-                           "not a writable folder")):
-            assert run_cli("--quiet", "round", *argv, "--rank-one",
-                           "--seed", "1") == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and msg in err, err
-    finally:
-        os.close(fd)
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "r.json").write_text("old\n")
+    for name in ("r.json", "new.json"):
+        link = tmp_path / f"link-{name}"
+        link.symlink_to(real / name)
+        assert run_cli("--quiet", "round", str(inst), "--rank-one",
+                       "--budget", "20", "--seed", "1", "--out",
+                       str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real / name)
+        doc = json.loads((real / name).read_text())
+        assert doc["result_digest"] == result_digest(doc)
+    assert sorted(p.name for p in real.iterdir()) == ["new.json", "r.json"]
 
 
 @pytest.mark.parametrize("bad", [
